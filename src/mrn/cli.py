@@ -15,8 +15,7 @@ import numpy as np
 from . import data as data_mod
 from . import evaluation, training, visualization
 from .gradcheck import check_full_model, check_tensor_grad, tiny_model
-from .model import ConfigError, ModelDims, VARIANTS, param_count, \
-    solve_dim_for_budget
+from .model import ConfigError, ModelDims, VARIANTS
 from .training import NumericalError, TrainConfig
 from .vqa import VqaModel, load_checkpoint, save_checkpoint
 
@@ -195,44 +194,20 @@ def cmd_eval(args):
 def cmd_ablate(args):
     os.makedirs(args.out, exist_ok=True)
     ds = data_mod.load(args.data)
-    train_set, val_set = ds.split("train"), ds.split("val")
-    eval_fn = lambda m, s: evaluation.evaluate(m, s, "oe",
-                                               vocab=ds.answer_vocab)
+    config = TrainConfig(batch_size=args.batch, iterations=args.iters,
+                         learning_rate=args.lr, dropout_rate=args.dropout,
+                         seed=args.seed, eval_every=args.iters)
     rows = []
-
-    def run(variant, n_blocks, d_joint):
-        dims = ModelDims(d_joint=d_joint, n_answers=len(ds.answer_vocab),
-                         n_blocks=n_blocks)
-        model = VqaModel(vocab_size=len(ds.question_vocab), variant=variant,
-                         dims=dims)
-        config = TrainConfig(batch_size=args.batch, iterations=args.iters,
-                             learning_rate=args.lr, dropout_rate=args.dropout,
-                             seed=args.seed, eval_every=args.iters)
-        training.train(model, train_set, config)
-        report = eval_fn(model, val_set)
-        row = {"variant": variant, "blocks": n_blocks, "dim": d_joint,
-               "params": param_count(model.mrn), "all": report.overall,
+    for r in training.ablation_sweep(ds, config, args.dim, args.budget_dim):
+        report = r["report"]
+        row = {"variant": r["variant"], "blocks": r["blocks"], "dim": r["dim"],
+               "params": r["params"], "all": report.overall,
                "yn": report.per_type.get("Y/N", 0.0),
                "num": report.per_type.get("Number", 0.0),
                "other": report.per_type.get("Other", 0.0)}
         rows.append(row)
-        print(f"{variant:>2} L={n_blocks} dim={d_joint:>4} "
+        print(f"{row['variant']:>2} L={row['blocks']} dim={row['dim']:>4} "
               f"params={row['params']:>8} all={row['all']:.4f}")
-        return row
-
-    for variant in ["a", "b", "c", "d", "e"]:
-        run(variant, 3, args.dim)
-    for n_blocks in [1, 2, 4]:
-        run("b", n_blocks, args.dim)
-    # MN vs MRN at the parameter budget of the reference b/L=3 model
-    ref_dims = ModelDims(d_joint=args.budget_dim,
-                         n_answers=len(ds.answer_vocab), n_blocks=3)
-    from .model import MrnModel
-    budget = param_count(MrnModel("b", ref_dims))
-    for variant in ["b", "mn"]:
-        dj = solve_dim_for_budget(variant, 3, ref_dims.d_q, ref_dims.d_v,
-                                  ref_dims.n_answers, budget)
-        run(variant, 3, dj)
 
     path = os.path.join(args.out, "ablation.csv")
     cols = ["variant", "blocks", "dim", "params", "all", "yn", "num", "other"]

@@ -39,6 +39,11 @@ class QuestionBatch:
             if np.any(self.tokens[i, n:] != PAD_ID):
                 raise ValueError(f"row {i}: non-pad token past stated length")
 
+    @classmethod
+    def single(cls, tokens):
+        """One-row batch holding one question's token ids, unpadded."""
+        return cls(np.asarray([tokens]), np.asarray([len(tokens)]))
+
 
 @dataclass
 class StepCounter:

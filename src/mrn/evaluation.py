@@ -88,8 +88,7 @@ def _softmax(z):
 def predict(model, example, protocol="oe", postprocess=False, vocab=None):
     """Predicted answer id for one example under the given protocol."""
     vocab = vocab if vocab is not None else _default_vocab()
-    batch = QuestionBatch(np.asarray([example.question]),
-                          np.asarray([len(example.question)]))
+    batch = QuestionBatch.single(example.question)
     logits = model.predict_logits(example.image[None], batch)[0]
     if postprocess:
         logits = caption_postprocess(logits, example.caption, vocab)

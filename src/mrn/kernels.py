@@ -1,42 +1,27 @@
-"""Hot numeric kernels: 2-D convolution forward/backward.
+"""Hot numeric kernels: 2-D convolution forward/backward in numpy.
 
-Two interchangeable implementations are provided: numba ``@njit`` loops
-(default) and a pure-numpy im2col path. Set the environment variable
-``MRN_NO_NUMBA=1`` before import to force the numpy path (or when numba is
-unavailable). Both paths operate on pre-padded inputs and compute a "valid"
-correlation; padding is the caller's job.
+Both kernels operate on pre-padded inputs and compute a "valid"
+correlation; padding is the caller's job. ``autodiff.conv2d`` looks them up
+through this module at call time.
 
 Array conventions: images are (B, C, H, W), weights (O, C, kh, kw), all
 float64.
 """
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("MRN_NO_NUMBA", "0").lower() in ("1", "true", "yes")
-
-try:
-    if _DISABLE:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+# mrnbench/run.py's facts line reads this to name the conv backend
+HAVE_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy path (im2col via stride tricks)
-
-def conv2d_forward_numpy(xp, w):
+def conv2d_forward(xp, w):
     # windows: (B, C, Ho, Wo, kh, kw)
     kh, kw = w.shape[2], w.shape[3]
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     return np.einsum("bcijuv,ocuv->boij", win, w, optimize=True)
 
 
-def conv2d_backward_numpy(xp, w, gy):
+def conv2d_backward(xp, w, gy):
     kh, kw = w.shape[2], w.shape[3]
     ho, wo = gy.shape[2], gy.shape[3]
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
@@ -47,66 +32,3 @@ def conv2d_backward_numpy(xp, w, gy):
             gxp[:, :, u:u + ho, v:v + wo] += np.einsum(
                 "boij,oc->bcij", gy, w[:, :, u, v], optimize=True)
     return gxp, gw
-
-
-# ---------------------------------------------------------------------------
-# numba path
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _conv2d_forward_nb(xp, w):
-        bsz, cin, hp, wp = xp.shape
-        cout, _, kh, kw = w.shape
-        ho = hp - kh + 1
-        wo = wp - kw + 1
-        y = np.zeros((bsz, cout, ho, wo))
-        for b in range(bsz):
-            for o in range(cout):
-                for c in range(cin):
-                    for u in range(kh):
-                        for v in range(kw):
-                            wv = w[o, c, u, v]
-                            for i in range(ho):
-                                for j in range(wo):
-                                    y[b, o, i, j] += wv * xp[b, c, i + u, j + v]
-        return y
-
-    @njit(cache=True)
-    def _conv2d_backward_nb(xp, w, gy):
-        bsz, cin, hp, wp = xp.shape
-        cout, _, kh, kw = w.shape
-        ho = gy.shape[2]
-        wo = gy.shape[3]
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w)
-        for b in range(bsz):
-            for o in range(cout):
-                for c in range(cin):
-                    for u in range(kh):
-                        for v in range(kw):
-                            wv = w[o, c, u, v]
-                            acc = 0.0
-                            for i in range(ho):
-                                for j in range(wo):
-                                    g = gy[b, o, i, j]
-                                    gxp[b, c, i + u, j + v] += wv * g
-                                    acc += g * xp[b, c, i + u, j + v]
-                            gw[o, c, u, v] += acc
-        return gxp, gw
-
-    def conv2d_forward_numba(xp, w):
-        return _conv2d_forward_nb(np.ascontiguousarray(xp), np.ascontiguousarray(w))
-
-    def conv2d_backward_numba(xp, w, gy):
-        return _conv2d_backward_nb(
-            np.ascontiguousarray(xp), np.ascontiguousarray(w),
-            np.ascontiguousarray(gy))
-
-
-if HAVE_NUMBA:
-    conv2d_forward = conv2d_forward_numba
-    conv2d_backward = conv2d_backward_numba
-else:
-    conv2d_forward = conv2d_forward_numpy
-    conv2d_backward = conv2d_backward_numpy

@@ -9,7 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import evaluation
 from .autodiff import Tensor
+from .model import ModelDims, MrnModel, param_count, solve_dim_for_budget
+from .vqa import VqaModel
 
 
 class NumericalError(RuntimeError):
@@ -119,6 +122,9 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
     config.validate()
     if not train_set:
         raise ValueError("empty training set")
+    if config.batch_size > len(train_set):
+        raise ValueError(f"batch size {config.batch_size} exceeds the "
+                         f"{len(train_set)} training examples")
     params = model.named_parameters(include_cnn=not config.freeze_cnn)
     if initialize:
         init_params(model.named_parameters(), config.init_range, config.seed)
@@ -183,6 +189,42 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
                 })
             result.metrics.append(row)
     return result
+
+
+def ablation_sweep(ds, config, dim, budget_dim):
+    """Train and score the variant / depth / shortcut sweep on ds.
+
+    Yields one row per config, in order: the five variants a-e at L=3 and
+    d_joint=dim ("variant"), variant b at L=1, 2, 4 ("depth"), then b and
+    mn at L=3 with d_joint solved so their fusion stacks fit the parameter
+    count of b/L=3 at d_joint=budget_dim ("budget"). A row is a dict of
+    sweep, variant, blocks, dim, params, report (val-split OE EvalReport)
+    and the trained model. Training is deterministic, so a config that
+    repeats an earlier one reuses its model instead of training again.
+    """
+    n_answers = len(ds.answer_vocab)
+    ref = ModelDims(d_joint=budget_dim, n_answers=n_answers, n_blocks=3)
+    budget = param_count(MrnModel("b", ref))
+    plan = [("variant", v, 3, dim) for v in "abcde"]
+    plan += [("depth", "b", n, dim) for n in (1, 2, 4)]
+    plan += [("budget", v, 3, solve_dim_for_budget(v, 3, ref.d_q, ref.d_v,
+                                                   n_answers, budget))
+             for v in ("b", "mn")]
+    trained = {}
+    for sweep, variant, n_blocks, d_joint in plan:
+        key = (variant, n_blocks, d_joint)
+        if key not in trained:
+            dims = ModelDims(d_joint=d_joint, n_answers=n_answers,
+                             n_blocks=n_blocks)
+            model = VqaModel(vocab_size=len(ds.question_vocab),
+                             variant=variant, dims=dims)
+            train(model, ds.split("train"), config)
+            trained[key] = (model, evaluation.evaluate(
+                model, ds.split("val"), "oe", vocab=ds.answer_vocab))
+        model, report = trained[key]
+        yield {"sweep": sweep, "variant": variant, "blocks": n_blocks,
+               "dim": d_joint, "params": param_count(model.mrn),
+               "report": report, "model": model}
 
 
 def write_metrics_csv(metrics, path):

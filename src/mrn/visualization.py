@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+# the GRU is looked up through its module at call time, so a wrapper set on
+# encoders.gru_forward_trimzero (a profiler, a test double) applies here too
+from . import encoders
 from .autodiff import Tensor
 from .encoders import QuestionBatch, cnn_forward
 from .model import block_forward, joint_residual, visual_embedding
@@ -40,18 +43,15 @@ def attention_effect_loss(q_in, v, block):
     return ad.mul(Tensor(0.5), ad.tsum(ad.mul(diff, diff)))
 
 
-def attention_gradient(example, model, block_index, trimzero=True):
+def attention_gradient(example, model, block_index):
     """Gradient of block block_index's attention-effect loss w.r.t. pixels.
 
     model is a VqaModel; the CNN runs with frozen weights but a
     differentiable input (its visualization augmentation). The question
     input of the block is H_{l-1} from a full forward pass, held constant.
     """
-    from .encoders import gru_forward, gru_forward_trimzero
-    batch = QuestionBatch(np.asarray([example.question]),
-                          np.asarray([len(example.question)]))
-    encode = gru_forward_trimzero if trimzero else gru_forward
-    q = encode(batch, model.gru)
+    q = encoders.gru_forward_trimzero(QuestionBatch.single(example.question),
+                                      model.gru)
     return attention_gradient_for(example.image, q, model, block_index)
 
 
@@ -133,17 +133,14 @@ def write_ppm(path, rgb):
         f.write(pix.tobytes())
 
 
-def visualize_sequence(example, model, out_dir, trimzero=True):
+def visualize_sequence(example, model, out_dir):
     """One heatmap per block plus a composite strip; writes image files.
 
     Returns (heatmaps, manifest_path).
     """
     os.makedirs(out_dir, exist_ok=True)
-    from .encoders import gru_forward, gru_forward_trimzero
-    batch = QuestionBatch(np.asarray([example.question]),
-                          np.asarray([len(example.question)]))
-    encode = gru_forward_trimzero if trimzero else gru_forward
-    q = encode(batch, model.gru)
+    q = encoders.gru_forward_trimzero(QuestionBatch.single(example.question),
+                                      model.gru)
     heatmaps = []
     manifest = {"question": example.question_text, "blocks": {}}
     panels = [np.asarray(example.image)]

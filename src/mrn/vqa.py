@@ -6,6 +6,7 @@ buffers. Round-trips are bit-exact.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -87,13 +88,30 @@ def save_checkpoint(model, path):
             f.write(np.ascontiguousarray(params[n].data).tobytes())
 
 
+def _read_exact(f, n, size, what, path):
+    """n bytes from f, or ValueError naming the field, offset and path."""
+    offset = f.tell()
+    if n > size - offset:
+        raise ValueError(f"truncated checkpoint: {what} at offset {offset} "
+                         f"needs {n} bytes, {size - offset} left: {path}")
+    return f.read(n)
+
+
 def load_checkpoint(path):
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(len(CKPT_MAGIC))
         if magic != CKPT_MAGIC:
             raise ValueError(f"not a checkpoint file (bad magic at offset 0): {path}")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen))
+        (hlen,) = struct.unpack("<Q", _read_exact(f, 8, size, "header length",
+                                                  path))
+        offset = f.tell()
+        hb = _read_exact(f, hlen, size, "header", path)
+        try:
+            header = json.loads(hb)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"checkpoint header at offset {offset} is not "
+                             f"valid JSON ({exc}): {path}") from exc
         model = VqaModel(
             vocab_size=header["vocab_size"], d_emb=header["d_emb"],
             variant=header["variant"], dims=ModelDims(**header["dims"]),
@@ -102,8 +120,7 @@ def load_checkpoint(path):
         for entry in header["params"]:
             shape = tuple(entry["shape"])
             n = int(np.prod(shape)) if shape else 1
-            buf = f.read(n * 8)
-            if len(buf) != n * 8:
-                raise ValueError(f"truncated checkpoint at {f.tell()}: {path}")
+            buf = _read_exact(f, n * 8, size, f"parameter {entry['name']}",
+                              path)
             params[entry["name"]].data = np.frombuffer(buf).reshape(shape).copy()
     return model

@@ -20,12 +20,10 @@ from mrn.autodiff import Tensor
 from mrn.encoders import QuestionBatch, StepCounter, gru_forward, \
     gru_forward_trimzero
 from mrn.gradcheck import check_full_model, check_tensor_grad, tiny_model
-from mrn.model import ModelDims, MrnModel, mrn_forward, param_count, \
-    solve_dim_for_budget, visual_embedding
+from mrn.model import ModelDims, MrnModel, mrn_forward, visual_embedding
 from mrn.training import TrainConfig, init_params
 from mrn.visualization import attention_gradient, attention_gradient_for, \
     render_heatmap
-from mrn.vqa import VqaModel
 
 # pinned toy configuration shared by criteria 6 and 7 (mirrors CLI defaults)
 PIN_SEED = 7
@@ -191,45 +189,24 @@ def pinned_ds():
     return data_mod.generate(PIN_SEED, PIN_N)
 
 
-def train_pinned(ds, variant, n_blocks, d_joint):
-    dims = ModelDims(d_joint=d_joint, n_answers=len(ds.answer_vocab),
-                     n_blocks=n_blocks)
-    model = VqaModel(vocab_size=len(ds.question_vocab), variant=variant,
-                     dims=dims)
+@pytest.fixture(scope="module")
+def ablation(pinned_ds):
+    """The pinned sweep backing criterion 6; ~9 minutes on 2 CPUs."""
+    ds = pinned_ds
+    t0 = time.monotonic()
     cfg = TrainConfig(batch_size=32, iterations=PIN_ITERS,
                       learning_rate=PIN_LR, dropout_rate=PIN_DROPOUT,
                       seed=PIN_SEED, eval_every=PIN_ITERS)
-    training.train(model, ds.split("train"), cfg)
-    return model
-
-
-@pytest.fixture(scope="module")
-def ablation(pinned_ds):
-    """The pinned sweep backing criterion 6; ~12 minutes of training."""
-    ds = pinned_ds
-    t0 = time.monotonic()
     rows = {}
     models = {}
-
-    def run(variant, n_blocks, d_joint, key):
-        model = train_pinned(ds, variant, n_blocks, d_joint)
-        report = evaluation.evaluate(model, ds.split("val"), "oe",
-                                     vocab=ds.answer_vocab)
-        rows[key] = report.overall
-        models[key] = model
-
-    for variant in ("a", "b", "c", "d", "e"):
-        run(variant, 3, PIN_DIM, f"variant_{variant}")
-    run("b", 1, PIN_DIM, "depth_1")
+    for row in training.ablation_sweep(ds, cfg, PIN_DIM, PIN_DIM):
+        if row["sweep"] == "depth":
+            key = f"depth_{row['blocks']}"
+        else:
+            key = f"{row['sweep']}_{row['variant']}"
+        rows[key] = row["report"].overall
+        models[key] = row["model"]
     rows["depth_3"] = rows["variant_b"]
-    # equal-parameter-budget comparison, dims via solve_dim_for_budget
-    ref = ModelDims(d_joint=PIN_DIM, n_answers=len(ds.answer_vocab),
-                    n_blocks=3)
-    budget = param_count(MrnModel("b", ref))
-    for variant in ("b", "mn"):
-        dj = solve_dim_for_budget(variant, 3, ref.d_q, ref.d_v,
-                                  ref.n_answers, budget)
-        run(variant, 3, dj, f"budget_{variant}")
     rows["elapsed"] = time.monotonic() - t0
     return rows, models
 

@@ -110,6 +110,14 @@ def test_validation_error_exit_code(workdir, tmp_path):
     assert rc == 1
 
 
+def test_train_batch_larger_than_split_exit_code(workdir, tmp_path, capsys):
+    rc = main(train_args(workdir, str(tmp_path / "big"), ["--batch", "1000"]))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "batch size 1000 exceeds the" in err
+    assert "Traceback" not in err
+
+
 def test_gradcheck_command(capsys):
     rc = main(["gradcheck", "--seed", "0"])
     out = capsys.readouterr().out
@@ -155,3 +163,25 @@ def test_ablate_row_per_config(workdir, tmp_path):
     # header + 5 variants + 3 depths + 2 budget-matched rows
     assert len(rows) == 11
     assert rows[0] == "variant,blocks,dim,params,all,yn,num,other"
+
+
+def test_ablate_trains_repeated_config_once(workdir, tmp_path, monkeypatch):
+    from mrn import training
+    calls = []
+    real_train = training.train
+
+    def counting_train(model, *args, **kwargs):
+        calls.append((model.variant, len(model.mrn.blocks),
+                      model.dims.d_joint))
+        return real_train(model, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train", counting_train)
+    out = str(tmp_path / "abl")
+    rc = main(["ablate", "--data", str(workdir / "ds.mrnd"), "--out", out,
+               "--seed", "5", "--iters", "4", "--batch", "4", "--dim", "8",
+               "--budget-dim", "8"])
+    assert rc == 0
+    assert len(calls) == 9 and len(set(calls)) == 9
+    rows = open(os.path.join(out, "ablation.csv")).read().splitlines()
+    # variant b at L=3 (row 2) and the budget-matched b (row 9)
+    assert rows[2].startswith("b,3,8,") and rows[2] == rows[9]

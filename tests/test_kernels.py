@@ -1,29 +1,6 @@
 import numpy as np
-import pytest
 
 from mrn import kernels
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba path disabled")
-def test_forward_paths_agree():
-    rng = np.random.default_rng(0)
-    xp = rng.standard_normal((2, 3, 10, 10))
-    w = rng.standard_normal((4, 3, 3, 3))
-    ya = kernels.conv2d_forward_numba(xp, w)
-    yb = kernels.conv2d_forward_numpy(xp, w)
-    assert np.max(np.abs(ya - yb)) < 1e-12
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba path disabled")
-def test_backward_paths_agree():
-    rng = np.random.default_rng(1)
-    xp = rng.standard_normal((2, 3, 8, 8))
-    w = rng.standard_normal((4, 3, 3, 3))
-    gy = rng.standard_normal((2, 4, 6, 6))
-    gxa, gwa = kernels.conv2d_backward_numba(xp, w, gy)
-    gxb, gwb = kernels.conv2d_backward_numpy(xp, w, gy)
-    assert np.max(np.abs(gxa - gxb)) < 1e-12
-    assert np.max(np.abs(gwa - gwb)) < 1e-11
 
 
 def test_forward_matches_direct_sum():
@@ -37,16 +14,3 @@ def test_forward_matches_direct_sum():
             for j in range(3):
                 expect[0, o, i, j] = np.sum(xp[0, :, i:i + 3, j:j + 3] * w[o])
     assert np.max(np.abs(y - expect)) < 1e-12
-
-
-def test_env_flag_selects_numpy_path(monkeypatch):
-    import importlib
-    import mrn.kernels as km
-    monkeypatch.setenv("MRN_NO_NUMBA", "1")
-    mod = importlib.reload(km)
-    try:
-        assert not mod.HAVE_NUMBA
-        assert mod.conv2d_forward is mod.conv2d_forward_numpy
-    finally:
-        monkeypatch.delenv("MRN_NO_NUMBA")
-        importlib.reload(km)

@@ -345,3 +345,33 @@ def test_checkpoint_bad_magic(tmp_path):
         f.write(b"NOTACKPT" + b"\0" * 32)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keep, message", [
+    (12, "header length at offset 8 needs 8 bytes, 4 left"),
+    (40, r"header at offset 16 needs \d+ bytes, 24 left"),
+    (-4, r"parameter \S+ at offset \d+ needs \d+ bytes, \d+ left"),
+])
+def test_checkpoint_truncated_names_offset(tmp_path, keep, message):
+    model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
+        d_q=4, d_v=5, d_joint=5, n_answers=4, n_blocks=1))
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    with open(path, "wb") as f:
+        f.write(blob[:keep])
+    with pytest.raises(ValueError, match="truncated checkpoint: " + message) \
+            as info:
+        load_checkpoint(path)
+    assert path in str(info.value)
+
+
+@pytest.mark.parametrize("header", [b'{"voca', b"\xff\xfe"])
+def test_checkpoint_header_not_json(tmp_path, header):
+    path = os.path.join(tmp_path, "bad.ckpt")
+    with open(path, "wb") as f:
+        f.write(b"MRNCKPT1" + len(header).to_bytes(8, "little") + header)
+    with pytest.raises(ValueError, match="header at offset 16 is not valid "
+                       "JSON") as info:
+        load_checkpoint(path)
+    assert path in str(info.value)

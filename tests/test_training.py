@@ -211,6 +211,14 @@ def test_empty_dataset_rejected():
         train(small_model(), [], TrainConfig())
 
 
+def test_batch_larger_than_train_split_rejected(toy_ds):
+    train_set = toy_ds.split("train")
+    cfg = TrainConfig(iterations=2, batch_size=len(train_set) + 1)
+    with pytest.raises(ValueError, match=f"batch size {len(train_set) + 1} "
+                       f"exceeds the {len(train_set)} training examples"):
+        train(small_model(), train_set, cfg)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_nonfinite_loss_names_iteration(toy_ds):
     model = small_model()

@@ -105,8 +105,7 @@ def test_gradient_matches_directional_derivatives(model):
     ex = example_like(model, seed=8)
     ex.image = img
     from mrn.encoders import QuestionBatch, gru_forward
-    batch = QuestionBatch(np.asarray([ex.question]), np.asarray([3]))
-    q = gru_forward(batch, model.gru)
+    q = gru_forward(QuestionBatch.single(ex.question), model.gru)
     l = 2
     grad = attention_gradient_for(img, q, model, l)
     # frozen residual from the base image
@@ -161,8 +160,7 @@ def test_constant_residual_differs_from_full_gradient(model):
     # mask is not saturated
     ex = example_like(model, seed=11)
     from mrn.encoders import QuestionBatch, gru_forward
-    batch = QuestionBatch(np.asarray([ex.question]), np.asarray([3]))
-    q = gru_forward(batch, model.gru)
+    q = gru_forward(QuestionBatch.single(ex.question), model.gru)
     frozen = attention_gradient_for(ex.image, q, model, 1)
     # full gradient: residual stays in the graph
     leaf = Tensor(ex.image[None].copy(), requires_grad=True)
