@@ -1,9 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 Micrograd-style design: every op builds a node holding its parents and a
-closure that pushes the output gradient back to them. ``backward()`` walks
-the graph once in reverse topological order. Gradients accumulate
-additively across fan-out.
+closure ``_backward(g)`` that pushes the output gradient g back to them.
+``backward()`` walks the graph once in reverse topological order, passing
+each node its own ``.grad``. Gradients accumulate additively across fan-out.
+
+A closure captures its parents and arrays, never its own output node, so a
+graph holds no reference cycle: it is freed by reference counting as soon
+as its last reference drops, without waiting for the cyclic collector.
 
 Elementwise ops require identical shapes; the only broadcasting allowed is
 a python scalar (or 0-d tensor) against a tensor. Row-vector bias addition
@@ -80,7 +84,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- operator sugar -----------------------------------------------------
 
@@ -134,11 +138,11 @@ def add(a, b):
     _check_elementwise(a, b, "add")
     out = Tensor(a.data + b.data, _parents=(a, b))
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            _accum_maybe_scalar(a, out.grad)
+            _accum_maybe_scalar(a, g)
         if b.requires_grad:
-            _accum_maybe_scalar(b, out.grad)
+            _accum_maybe_scalar(b, g)
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -147,11 +151,11 @@ def sub(a, b):
     _check_elementwise(a, b, "sub")
     out = Tensor(a.data - b.data, _parents=(a, b))
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            _accum_maybe_scalar(a, out.grad)
+            _accum_maybe_scalar(a, g)
         if b.requires_grad:
-            _accum_maybe_scalar(b, -out.grad)
+            _accum_maybe_scalar(b, -g)
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -160,29 +164,31 @@ def mul(a, b):
     _check_elementwise(a, b, "mul")
     out = Tensor(a.data * b.data, _parents=(a, b))
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            _accum_maybe_scalar(a, out.grad * b.data)
+            _accum_maybe_scalar(a, g * b.data)
         if b.requires_grad:
-            _accum_maybe_scalar(b, out.grad * a.data)
+            _accum_maybe_scalar(b, g * a.data)
     out._backward = _bw if out.requires_grad else None
     return out
 
 
 def tanh(a):
-    out = Tensor(np.tanh(a.data), _parents=(a,))
+    y = np.tanh(a.data)
+    out = Tensor(y, _parents=(a,))
 
-    def _bw():
-        a._accum(out.grad * (1.0 - out.data * out.data))
+    def _bw(g):
+        a._accum(g * (1.0 - y * y))
     out._backward = _bw if out.requires_grad else None
     return out
 
 
 def sigmoid(a):
-    out = Tensor(1.0 / (1.0 + np.exp(-a.data)), _parents=(a,))
+    y = 1.0 / (1.0 + np.exp(-a.data))
+    out = Tensor(y, _parents=(a,))
 
-    def _bw():
-        a._accum(out.grad * out.data * (1.0 - out.data))
+    def _bw(g):
+        a._accum(g * y * (1.0 - y))
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -195,11 +201,11 @@ def matmul(a, b):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data, _parents=(a, b))
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accum(out.grad @ b.data.T)
+            a._accum(g @ b.data.T)
         if b.requires_grad:
-            b._accum(a.data.T @ out.grad)
+            b._accum(a.data.T @ g)
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -210,11 +216,11 @@ def add_bias(x, b):
         raise ShapeError(f"add_bias: shapes {x.shape} and {b.shape}")
     out = Tensor(x.data + b.data, _parents=(x, b))
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x._accum(out.grad)
+            x._accum(g)
         if b.requires_grad:
-            b._accum(out.grad.sum(axis=0))
+            b._accum(g.sum(axis=0))
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -233,8 +239,8 @@ def linear(x, w, b=None):
 def tsum(a):
     out = Tensor(a.data.sum(), _parents=(a,))
 
-    def _bw():
-        a._accum(np.full_like(a.data, float(out.grad)))
+    def _bw(g):
+        a._accum(np.full_like(a.data, float(g)))
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -242,8 +248,8 @@ def tsum(a):
 def tmean(a):
     out = Tensor(a.data.mean(), _parents=(a,))
 
-    def _bw():
-        a._accum(np.full_like(a.data, float(out.grad) / a.size))
+    def _bw(g):
+        a._accum(np.full_like(a.data, float(g) / a.size))
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -251,8 +257,8 @@ def tmean(a):
 def reshape(a, shape):
     out = Tensor(a.data.reshape(shape), _parents=(a,))
 
-    def _bw():
-        a._accum(out.grad.reshape(a.shape))
+    def _bw(g):
+        a._accum(g.reshape(a.shape))
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -261,10 +267,10 @@ def take_rows(a, idx):
     """Gather rows along axis 0; idx is an int array or a slice."""
     out = Tensor(a.data[idx], _parents=(a,))
 
-    def _bw():
-        g = np.zeros_like(a.data)
-        np.add.at(g, idx, out.grad)
-        a._accum(g)
+    def _bw(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        a._accum(ga)
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -274,12 +280,12 @@ def concat_rows(parts):
     out = Tensor(np.concatenate([p.data for p in parts], axis=0),
                  _parents=tuple(parts))
 
-    def _bw():
+    def _bw(g):
         off = 0
         for p in parts:
             n = p.data.shape[0]
             if p.requires_grad:
-                p._accum(out.grad[off:off + n])
+                p._accum(g[off:off + n])
             off += n
     out._backward = _bw if out.requires_grad else None
     return out
@@ -303,10 +309,10 @@ def softmax_cross_entropy(logits, targets):
     nll = -(z[np.arange(bsz), t] - np.log(ez.sum(axis=1)))
     out = Tensor(nll.mean(), _parents=(logits,))
 
-    def _bw():
-        g = p.copy()
-        g[np.arange(bsz), t] -= 1.0
-        logits._accum(g * (float(out.grad) / bsz))
+    def _bw(g):
+        d = p.copy()
+        d[np.arange(bsz), t] -= 1.0
+        logits._accum(d * (float(g) / bsz))
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -326,15 +332,15 @@ def conv2d(x, w, b=None, padding=1):
     parents = (x, w) if b is None else (x, w, b)
     out = Tensor(y, _parents=parents)
 
-    def _bw():
-        gxp, gw = kernels.conv2d_backward(xp, w.data, out.grad)
+    def _bw(g):
+        gxp, gw = kernels.conv2d_backward(xp, w.data, g)
         if x.requires_grad:
             h, wd = x.shape[2], x.shape[3]
             x._accum(gxp[:, :, pad:pad + h, pad:pad + wd])
         if w.requires_grad:
             w._accum(gw)
         if b is not None and b.requires_grad:
-            b._accum(out.grad.sum(axis=(0, 2, 3)))
+            b._accum(g.sum(axis=(0, 2, 3)))
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -347,8 +353,7 @@ def avgpool2d(x, k=2):
     y = x.data.reshape(bsz, c, h // k, k, w // k, k).mean(axis=(3, 5))
     out = Tensor(y, _parents=(x,))
 
-    def _bw():
-        g = np.repeat(np.repeat(out.grad, k, axis=2), k, axis=3) / (k * k)
-        x._accum(g)
+    def _bw(g):
+        x._accum(np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k))
     out._backward = _bw if out.requires_grad else None
     return out

@@ -169,10 +169,23 @@ def cmd_train(args):
     return 0
 
 
+def _load_model(args, ds):
+    """The checkpoint's model, checked against the dataset it will read."""
+    model = load_checkpoint(args.checkpoint)
+    for what, have, want in (
+            ("vocab_size", model.vocab_size, len(ds.question_vocab)),
+            ("n_answers", model.dims.n_answers, len(ds.answer_vocab))):
+        if have != want:
+            raise ValidationError(
+                f"checkpoint {args.checkpoint} has {what} {have} but dataset "
+                f"{args.data} has {want}")
+    return model
+
+
 def cmd_eval(args):
     os.makedirs(args.out, exist_ok=True)
     ds = data_mod.load(args.data)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_model(args, ds)
     examples = ds.split(args.split)
     if not examples:
         raise ValidationError(f"no examples in split {args.split!r}")
@@ -225,7 +238,7 @@ def cmd_ablate(args):
 def cmd_viz(args):
     os.makedirs(args.out, exist_ok=True)
     ds = data_mod.load(args.data)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_model(args, ds)
     examples = ds.split(args.split)
     if not (0 <= args.index < len(examples)):
         raise ValidationError(f"index {args.index} out of range for split "

@@ -40,9 +40,15 @@ class QuestionBatch:
                 raise ValueError(f"row {i}: non-pad token past stated length")
 
     @classmethod
-    def single(cls, tokens):
-        """One-row batch holding one question's token ids, unpadded."""
-        return cls(np.asarray([tokens]), np.asarray([len(tokens)]))
+    def pad(cls, questions):
+        """Batch of token-id sequences, right-padded with PAD_ID to the
+        longest; each row's length is its sequence's length."""
+        lengths = [len(q) for q in questions]
+        tokens = np.full((len(questions), max(lengths)), PAD_ID,
+                         dtype=np.int64)
+        for row, q in enumerate(questions):
+            tokens[row, :len(q)] = q
+        return cls(tokens, lengths)
 
 
 @dataclass

@@ -85,19 +85,35 @@ def _softmax(z):
     return e / e.sum()
 
 
+def predict_batch(model, examples, protocol="oe", postprocess=False,
+                  vocab=None):
+    """Predicted answer ids for examples, scored in one forward."""
+    vocab = vocab if vocab is not None else _default_vocab()
+    images = np.stack([e.image for e in examples])
+    batch = QuestionBatch.pad([e.question for e in examples])
+    preds = []
+    for e, logits in zip(examples, model.predict_logits(images, batch)):
+        if postprocess:
+            logits = caption_postprocess(logits, e.caption, vocab)
+        probs = _softmax(logits)
+        if protocol == "mc":
+            if not getattr(e, "candidates", None):
+                raise ValueError("multiple-choice protocol needs candidate "
+                                 "lists")
+            probs = multiple_choice_mask(probs, e.candidates)
+        preds.append(int(np.argmax(probs)))
+    return preds
+
+
 def predict(model, example, protocol="oe", postprocess=False, vocab=None):
     """Predicted answer id for one example under the given protocol."""
-    vocab = vocab if vocab is not None else _default_vocab()
-    batch = QuestionBatch.single(example.question)
-    logits = model.predict_logits(example.image[None], batch)[0]
-    if postprocess:
-        logits = caption_postprocess(logits, example.caption, vocab)
-    probs = _softmax(logits)
-    if protocol == "mc":
-        if not getattr(example, "candidates", None):
-            raise ValueError("multiple-choice protocol needs candidate lists")
-        probs = multiple_choice_mask(probs, example.candidates)
-    return int(np.argmax(probs))
+    return predict_batch(model, [example], protocol, postprocess, vocab)[0]
+
+
+# Examples scored per forward. A forward keeps every activation of its batch
+# alive until it returns, so peak memory grows with the batch; 8 rows already
+# spread the per-forward overhead without raising the peak.
+EVAL_BATCH = 8
 
 
 def evaluate(model, examples, protocol="oe", postprocess=False, vocab=None):
@@ -106,10 +122,12 @@ def evaluate(model, examples, protocol="oe", postprocess=False, vocab=None):
         raise ValueError(f"unknown protocol {protocol!r}")
     vocab = vocab if vocab is not None else _default_vocab()
     scores = {}
-    for e in examples:
-        pred_id = predict(model, e, protocol, postprocess, vocab)
-        score = vqa_accuracy(vocab[pred_id], e.humans)
-        scores.setdefault(e.answer_type, []).append(score)
+    for start in range(0, len(examples), EVAL_BATCH):
+        chunk = examples[start:start + EVAL_BATCH]
+        preds = predict_batch(model, chunk, protocol, postprocess, vocab)
+        for e, pred_id in zip(chunk, preds):
+            score = vqa_accuracy(vocab[pred_id], e.humans)
+            scores.setdefault(e.answer_type, []).append(score)
     return EvalReport.aggregate(protocol, scores)
 
 

@@ -70,12 +70,10 @@ def tiny_model(seed=0, variant="b", n_blocks=3):
 def tiny_batch(seed=0, batch_size=2, maxlen=4, image_size=8, vocab=6):
     rng = np.random.default_rng(seed)
     lengths = rng.integers(1, maxlen + 1, size=batch_size)
-    tokens = np.zeros((batch_size, maxlen), dtype=np.int64)
-    for i, n in enumerate(lengths):
-        tokens[i, :n] = rng.integers(1, vocab, size=n)
+    questions = [rng.integers(1, vocab, size=n) for n in lengths]
     images = rng.uniform(0, 1, size=(batch_size, 3, image_size, image_size))
     targets = rng.integers(0, 4, size=batch_size)
-    return images, QuestionBatch(tokens, lengths), targets
+    return images, QuestionBatch.pad(questions), targets
 
 
 def check_full_model(model=None, seed=0, h=1e-5):

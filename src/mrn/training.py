@@ -11,6 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation
 from .autodiff import Tensor
+from .encoders import QuestionBatch
 from .model import ModelDims, MrnModel, param_count, solve_dim_for_budget
 from .vqa import VqaModel
 
@@ -42,6 +43,10 @@ class TrainConfig:
             raise ValueError("init range must be positive")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.iterations < 1:
+            raise ValueError(f"iterations {self.iterations} must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every {self.eval_every} must be >= 1")
         if self.dropout_mode not in ("standard", "bayesian"):
             raise ValueError(f"unknown dropout mode {self.dropout_mode!r}")
 
@@ -96,18 +101,10 @@ class TrainResult:
 
 
 def _batch_arrays(dataset, idx):
-    from .encoders import QuestionBatch
-    images = np.stack([dataset[i].image for i in idx])
-    maxlen = max(len(dataset[i].question) for i in idx)
-    tokens = np.zeros((len(idx), maxlen), dtype=np.int64)
-    lengths = np.zeros(len(idx), dtype=np.int64)
-    targets = np.zeros(len(idx), dtype=np.int64)
-    for row, i in enumerate(idx):
-        q = dataset[i].question
-        tokens[row, :len(q)] = q
-        lengths[row] = len(q)
-        targets[row] = dataset[i].answer_id
-    return images, QuestionBatch(tokens, lengths), targets
+    examples = [dataset[i] for i in idx]
+    images = np.stack([e.image for e in examples])
+    targets = np.array([e.answer_id for e in examples], dtype=np.int64)
+    return images, QuestionBatch.pad([e.question for e in examples]), targets
 
 
 def train(model, train_set, config, val_set=None, evaluate_fn=None,

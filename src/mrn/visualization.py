@@ -50,7 +50,7 @@ def attention_gradient(example, model, block_index):
     differentiable input (its visualization augmentation). The question
     input of the block is H_{l-1} from a full forward pass, held constant.
     """
-    q = encoders.gru_forward_trimzero(QuestionBatch.single(example.question),
+    q = encoders.gru_forward_trimzero(QuestionBatch.pad([example.question]),
                                       model.gru)
     return attention_gradient_for(example.image, q, model, block_index)
 
@@ -139,7 +139,7 @@ def visualize_sequence(example, model, out_dir):
     Returns (heatmaps, manifest_path).
     """
     os.makedirs(out_dir, exist_ok=True)
-    q = encoders.gru_forward_trimzero(QuestionBatch.single(example.question),
+    q = encoders.gru_forward_trimzero(QuestionBatch.pad([example.question]),
                                       model.gru)
     heatmaps = []
     manifest = {"question": example.question_text, "blocks": {}}

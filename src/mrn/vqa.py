@@ -5,6 +5,7 @@ JSON header (dims, variant, parameter manifest) followed by raw float64
 buffers. Round-trips are bit-exact.
 """
 
+import dataclasses
 import json
 import os
 import struct
@@ -13,6 +14,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+# cnn_forward is looked up through its module at call time, so a wrapper set
+# on encoders.cnn_forward (a profiler, a test double) applies here too
+from . import encoders
 from .encoders import CnnConfig, GruEncoder, QuestionBatch, ToyCnn, gru_forward, \
     gru_forward_trimzero
 from .model import ModelDims, MrnModel, mrn_forward
@@ -37,11 +41,8 @@ class VqaModel:
     def variant(self):
         return self.mrn.variant
 
-    def named_parameters(self, include_cnn=True, include_gru=True):
-        out = {}
-        if include_gru:
-            for k, t in self.gru.params.items():
-                out[f"gru.{k}"] = t
+    def named_parameters(self, include_cnn=True):
+        out = {f"gru.{k}": t for k, t in self.gru.params.items()}
         if include_cnn:
             for k, t in self.cnn.params.items():
                 out[f"cnn.{k}"] = t
@@ -54,12 +55,8 @@ class VqaModel:
         """images (B,C,H,W) array or Tensor; batch: QuestionBatch."""
         encode = gru_forward_trimzero if trimzero else gru_forward
         q = encode(batch, self.gru, counter=counter, input_dropout=input_dropout)
-        v = self.cnn_features(images, freeze=freeze_cnn)
+        v = encoders.cnn_forward(images, self.cnn, freeze=freeze_cnn)
         return mrn_forward(q, v, self.mrn, joint_dropout=joint_dropout)
-
-    def cnn_features(self, images, freeze=False):
-        from .encoders import cnn_forward
-        return cnn_forward(images, self.cnn, freeze=freeze)
 
     def predict_logits(self, images, batch):
         _, logits = self.forward(images, batch)
@@ -112,15 +109,75 @@ def load_checkpoint(path):
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ValueError(f"checkpoint header at offset {offset} is not "
                              f"valid JSON ({exc}): {path}") from exc
+        model = _model_from_header(header, offset, path)
+        params = model.named_parameters()
+        for entry in header["params"]:
+            name = entry["name"]
+            t = params[name]
+            buf = _read_exact(f, t.size * 8, size, f"parameter {name}", path)
+            t.data = np.frombuffer(buf).reshape(t.shape).copy()
+    return model
+
+
+_HEADER_FIELDS = {"vocab_size": int, "d_emb": int, "variant": str,
+                  "use_bias": bool, "dims": dict, "cnn": dict, "params": list}
+
+
+def _model_from_header(header, offset, path):
+    """The model a header describes, after checking every field it uses.
+
+    Any missing or mistyped field, dims/cnn key set that differs from the
+    dataclass, or manifest that is not exactly the model's parameters with
+    their shapes raises ValueError naming the field or parameter. Types are
+    compared exactly, as json.loads makes them, so true is not an int.
+    """
+    def bad(problem):
+        return ValueError(f"checkpoint header at offset {offset}: {problem}: "
+                          f"{path}")
+
+    def check_type(label, value, kind):
+        if type(value) is not kind:
+            raise bad(f"field {label!r} has type {type(value).__name__}, "
+                      f"expected {kind.__name__}")
+
+    if type(header) is not dict:
+        raise bad("not a JSON object")
+    for name, kind in _HEADER_FIELDS.items():
+        if name not in header:
+            raise bad(f"missing field {name!r}")
+        check_type(name, header[name], kind)
+    for name, cls in (("dims", ModelDims), ("cnn", CnnConfig)):
+        want = sorted(f.name for f in dataclasses.fields(cls))
+        if sorted(header[name]) != want:
+            raise bad(f"field {name!r} has keys {sorted(header[name])}, "
+                      f"expected {want}")
+        for key, value in header[name].items():
+            check_type(f"{name}.{key}", value, int)
+    try:
         model = VqaModel(
             vocab_size=header["vocab_size"], d_emb=header["d_emb"],
             variant=header["variant"], dims=ModelDims(**header["dims"]),
-            cnn_config=CnnConfig(**header["cnn"]), use_bias=header["use_bias"])
-        params = model.named_parameters()
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = _read_exact(f, n * 8, size, f"parameter {entry['name']}",
-                              path)
-            params[entry["name"]].data = np.frombuffer(buf).reshape(shape).copy()
+            cnn_config=CnnConfig(**header["cnn"]),
+            use_bias=header["use_bias"])
+    except ValueError as exc:
+        raise bad(exc) from exc
+    params = model.named_parameters()
+    seen = set()
+    for entry in header["params"]:
+        if not (type(entry) is dict and type(entry.get("name")) is str
+                and type(entry.get("shape")) is list):
+            raise bad(f"manifest entry {entry!r} needs a name and a shape")
+        name, shape = entry["name"], entry["shape"]
+        if name not in params:
+            raise bad(f"manifest names unknown parameter {name!r}")
+        if name in seen:
+            raise bad(f"parameter {name!r} appears twice in the manifest")
+        seen.add(name)
+        want = list(params[name].shape)
+        if shape != want or any(type(n) is not int for n in shape):
+            raise bad(f"parameter {name!r} has shape {shape} in the "
+                      f"manifest, {want} in the model")
+    missing = sorted(set(params) - seen)
+    if missing:
+        raise bad(f"parameter {missing[0]!r} is missing from the manifest")
     return model

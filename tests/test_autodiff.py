@@ -229,3 +229,23 @@ def test_detach_cuts_graph():
     assert not y.requires_grad
     loss = ad.tsum(ad.mul(y, y))
     assert not loss.requires_grad
+
+
+def test_model_step_leaves_no_reference_cycles():
+    # every closure captures parents and arrays, never its own output node,
+    # so reference counting frees a whole graph without the cyclic collector
+    import gc
+
+    from mrn.gradcheck import tiny_batch, tiny_model
+    model = tiny_model(seed=1)
+    images, batch, targets = tiny_batch(seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        logits = model.forward(images, batch)[1]
+        ad.softmax_cross_entropy(logits, targets).backward()
+        del logits
+        leftover = gc.collect()
+    finally:
+        gc.enable()
+    assert leftover == 0

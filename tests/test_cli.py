@@ -118,6 +118,58 @@ def test_train_batch_larger_than_split_exit_code(workdir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_train_zero_iterations_exit_code(workdir, tmp_path, capsys):
+    out = tmp_path / "empty"
+    rc = main(train_args(workdir, str(out), ["--iters", "0"]))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "iterations 0 must be >= 1" in err
+    assert "Traceback" not in err
+    assert not (out / "model.ckpt").exists()
+
+
+def test_eval_bad_checkpoint_header_exit_code(workdir, tmp_path, capsys):
+    path = tmp_path / "bad.ckpt"
+    hb = b'{"vocab_size": 5}'
+    path.write_bytes(b"MRNCKPT1" + len(hb).to_bytes(8, "little") + hb)
+    rc = main(["eval", "--data", str(workdir / "ds.mrnd"), "--checkpoint",
+               str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "checkpoint header at offset 16: missing field 'd_emb'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, mismatch, message", [
+    ("eval", "vocab", "has vocab_size 6 but dataset"),
+    ("viz", "vocab", "has vocab_size 6 but dataset"),
+    ("eval", "answers", "has n_answers 3 but dataset"),
+    ("viz", "answers", "has n_answers 3 but dataset"),
+])
+def test_checkpoint_dataset_mismatch_exit_code(workdir, tmp_path, capsys,
+                                               command, mismatch, message):
+    from mrn import data as data_mod
+    from mrn.gradcheck import tiny_model
+    from mrn.model import ModelDims
+    from mrn.vqa import VqaModel, save_checkpoint
+    ds = data_mod.load(str(workdir / "ds.mrnd"))
+    if mismatch == "vocab":
+        model = tiny_model()
+        want = len(ds.question_vocab)
+    else:
+        model = VqaModel(vocab_size=len(ds.question_vocab), dims=ModelDims(
+            d_q=4, d_v=5, d_joint=5, n_answers=3, n_blocks=1))
+        want = len(ds.answer_vocab)
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(model, ckpt)
+    rc = main([command, "--data", str(workdir / "ds.mrnd"), "--checkpoint",
+               ckpt, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{message} {workdir / 'ds.mrnd'} has {want}" in err
+    assert "Traceback" not in err
+
+
 def test_gradcheck_command(capsys):
     rc = main(["gradcheck", "--seed", "0"])
     out = capsys.readouterr().out
@@ -140,8 +192,8 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
         if out._backward is not None:
             orig = out._backward
 
-            def corrupted():
-                orig()
+            def corrupted(g):
+                orig(g)
                 a.grad *= 1.5
             out._backward = corrupted
         return out

@@ -34,6 +34,12 @@ def test_batch_invariants_enforced():
         QuestionBatch(np.array([[1, 2, 3]]), np.array([2]))   # non-pad tail
 
 
+def test_pad_right_pads_to_the_longest():
+    batch = QuestionBatch.pad([[4, 7, 2], [5], np.array([3, 3])])
+    assert batch.tokens.tolist() == [[4, 7, 2], [5, 0, 0], [3, 3, 0]]
+    assert batch.lengths.tolist() == [3, 1, 2]
+
+
 def test_token_id_out_of_range():
     enc = make_encoder()
     batch = QuestionBatch(np.array([[VOCAB, 0]]), np.array([1]))

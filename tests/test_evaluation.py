@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mrn import data as data_mod
+from mrn import evaluation
 from mrn.evaluation import EvalReport, caption_postprocess, \
     classify_answer_type, evaluate, multiple_choice_mask, predict, \
     vqa_accuracy
@@ -195,8 +196,8 @@ def test_constant_predictor_matches_base_rate(toy_ds):
 
     class ConstModel:
         def predict_logits(self, images, batch):
-            logits = np.zeros((1, len(vocab)))
-            logits[0, const_id] = 10.0
+            logits = np.zeros((len(batch.lengths), len(vocab)))
+            logits[:, const_id] = 10.0
             return logits
 
     report = evaluate(ConstModel(), toy_ds.examples, "oe", vocab=vocab)
@@ -231,9 +232,51 @@ def test_mc_at_least_oe_for_random_models(toy_ds):
             self.rng = np.random.default_rng(seed)
 
         def predict_logits(self, images, batch):
-            return self.rng.standard_normal((1, len(vocab)))
+            return self.rng.standard_normal((len(batch.lengths), len(vocab)))
 
     for seed in range(10):
         oe = evaluate(RandomModel(seed), toy_ds.examples, "oe", vocab=vocab)
         mc = evaluate(RandomModel(seed), toy_ds.examples, "mc", vocab=vocab)
         assert mc.overall >= oe.overall
+
+
+@pytest.mark.parametrize("protocol", ["oe", "mc"])
+@pytest.mark.parametrize("postprocess", [False, True])
+def test_batched_evaluate_matches_one_row_predict(protocol, postprocess,
+                                                  monkeypatch):
+    from mrn.encoders import CnnConfig
+    from mrn.model import ModelDims
+    from mrn.training import TrainConfig, train
+    from mrn.vqa import VqaModel
+    ds = data_mod.generate(2, 90)
+    vocab = ds.answer_vocab
+    dims = ModelDims(d_q=8, d_v=8, d_joint=8, n_answers=len(vocab),
+                     n_blocks=2)
+    model = VqaModel(vocab_size=len(ds.question_vocab), d_emb=4, dims=dims,
+                     cnn_config=CnnConfig(channels1=2, channels2=2, d_out=8))
+    train(model, ds.split("train"), TrainConfig(
+        batch_size=8, iterations=40, learning_rate=3e-3, seed=2))
+    examples = ds.split("val") + ds.split("test")
+    assert len(examples) % evaluation.EVAL_BATCH != 0
+
+    batched = []
+    real = evaluation.predict_batch
+
+    def spy(model, chunk, *args):
+        ids = real(model, chunk, *args)
+        batched.append((len(chunk), ids))
+        return ids
+
+    monkeypatch.setattr(evaluation, "predict_batch", spy)
+    report = evaluate(model, examples, protocol, postprocess, vocab)
+    monkeypatch.undo()
+    sizes = [n for n, _ in batched]
+    assert max(sizes) == evaluation.EVAL_BATCH and sum(sizes) == len(examples)
+    ids = [i for _, chunk_ids in batched for i in chunk_ids]
+    one_row = [predict(model, e, protocol, postprocess, vocab)
+               for e in examples]
+    assert ids == one_row
+    expect = Fraction(sum(round(3 * vqa_accuracy(vocab[i], e.humans))
+                          for i, e in zip(one_row, examples)),
+                      3 * len(examples))
+    assert report.overall == float(expect)

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -373,5 +374,64 @@ def test_checkpoint_header_not_json(tmp_path, header):
         f.write(b"MRNCKPT1" + len(header).to_bytes(8, "little") + header)
     with pytest.raises(ValueError, match="header at offset 16 is not valid "
                        "JSON") as info:
+        load_checkpoint(path)
+    assert path in str(info.value)
+
+
+def _with(header, **fields):
+    return {**header, **fields}
+
+
+def _edit_params(edit):
+    def apply(header):
+        params = [dict(e) for e in header["params"]]
+        edit(params)
+        return _with(header, params=params)
+    return apply
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: {"vocab_size": 5}, "missing field 'd_emb'"),
+    (lambda h: [h], "not a JSON object"),
+    (lambda h: _with(h, d_emb="3"),
+     "field 'd_emb' has type str, expected int"),
+    (lambda h: _with(h, vocab_size=True), "field 'vocab_size' has type bool"),
+    (lambda h: _with(h, use_bias=1), "field 'use_bias' has type int, "
+     "expected bool"),
+    (lambda h: _with(h, params={}), "field 'params' has type dict"),
+    (lambda h: _with(h, dims={**h["dims"], "d_extra": 1}),
+     r"field 'dims' has keys \[.*'d_extra'"),
+    (lambda h: _with(h, cnn={k: v for k, v in h["cnn"].items()
+                             if k != "kernel"}), "field 'cnn' has keys"),
+    (lambda h: _with(h, dims={**h["dims"], "n_blocks": 1.0}),
+     "field 'dims.n_blocks' has type float"),
+    (lambda h: _with(h, variant="zz"), "unknown variant"),
+    (_edit_params(lambda p: p[0].update(shape=[1])),
+     r"parameter 'cnn.conv1_b' has shape \[1\] in the manifest, \[8\] in "
+     "the model"),
+    (_edit_params(lambda p: p[0].update(shape=[8.0])),
+     "parameter 'cnn.conv1_b' has shape"),
+    (_edit_params(lambda p: p[0].update(name="cnn.nope")),
+     "manifest names unknown parameter 'cnn.nope'"),
+    (_edit_params(lambda p: p.__setitem__(1, p[0])),
+     "parameter 'cnn.conv1_b' appears twice"),
+    (_edit_params(lambda p: p.pop()),
+     "parameter 'mrn.cls_w' is missing from the manifest"),
+    (_edit_params(lambda p: p.__setitem__(0, "cnn.conv1_b")),
+     "manifest entry 'cnn.conv1_b' needs a name and a shape"),
+])
+def test_checkpoint_bad_header_names_field(tmp_path, edit, message):
+    model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
+        d_q=4, d_v=5, d_joint=5, n_answers=4, n_blocks=1))
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    hlen = int.from_bytes(blob[8:16], "little")
+    hb = json.dumps(edit(json.loads(blob[16:16 + hlen]))).encode()
+    with open(path, "wb") as f:
+        f.write(blob[:8] + len(hb).to_bytes(8, "little") + hb
+                + blob[16 + hlen:])
+    with pytest.raises(ValueError, match="checkpoint header at offset 16: "
+                       + message) as info:
         load_checkpoint(path)
     assert path in str(info.value)

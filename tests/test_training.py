@@ -131,6 +131,13 @@ def test_config_validation():
         TrainConfig(dropout_mode="spicy").validate()
 
 
+@pytest.mark.parametrize("field", ["iterations", "eval_every"])
+def test_empty_run_rejected(toy_ds, field):
+    config = TrainConfig(batch_size=4, **{field: 0})
+    with pytest.raises(ValueError, match=f"{field} 0 must be >= 1"):
+        train(small_model(), toy_ds.split("train"), config)
+
+
 def test_lr_zero_keeps_initial_params(toy_ds):
     model = small_model()
     cfg = TrainConfig(iterations=5, batch_size=4, learning_rate=0.0, seed=9,
