@@ -10,6 +10,8 @@ is a deterministic function of (seed, index).
 
 import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -259,32 +261,98 @@ def save(dataset, path):
             f.write(np.ascontiguousarray(e.image).tobytes())
 
 
+# field -> JSON type; [kind] is a list whose items all have that type
+_HEADER_FIELDS = {"seed": int, "question_vocab": [str], "answer_vocab": [str],
+                  "image_shape": [int], "examples": list}
+_EXAMPLE_FIELDS = {"question": [int], "question_text": str, "answer": str,
+                   "answer_id": int, "answer_type": str, "humans": [str],
+                   "candidates": [int], "caption": str, "split": str,
+                   "scene": [list]}
+
+
+def _check_fields(obj, fields, where, bad):
+    """Raise bad(problem) unless obj is a dict holding every field's type.
+
+    Types are compared exactly, as json.loads makes them, so true is not
+    an int.
+    """
+    if type(obj) is not dict:
+        raise bad(f"{where} is not a JSON object")
+    for name, kind in fields.items():
+        if name not in obj:
+            raise bad(f"{where} is missing field {name!r}")
+        value = obj[name]
+        if type(kind) is list:
+            ok = type(value) is list and set(map(type, value)) <= set(kind)
+        else:
+            ok = type(value) is kind
+        if not ok:
+            label = (f"list of {kind[0].__name__}" if type(kind) is list
+                     else kind.__name__)
+            raise bad(f"{where} field {name!r} should be {label}")
+
+
+def _check_header(header, offset, path):
+    """Check every header field load uses; DatasetFormatError names it."""
+    def bad(problem):
+        return DatasetFormatError(f"bad header at byte {offset}: {problem} "
+                                  f"in {path}")
+
+    _check_fields(header, _HEADER_FIELDS, "header", bad)
+    if len(header["image_shape"]) != 3 or min(header["image_shape"]) < 1:
+        raise bad(f"image_shape {header['image_shape']} is not 3 positive "
+                  "ints")
+    n_words = len(header["question_vocab"])
+    n_answers = len(header["answer_vocab"])
+    for i, meta in enumerate(header["examples"]):
+        _check_fields(meta, _EXAMPLE_FIELDS, f"example {i}", bad)
+        if not meta["question"]:
+            raise bad(f"example {i} field 'question' is empty")
+        if any(len(o) != 4 for o in meta["scene"]):
+            raise bad(f"example {i} field 'scene' needs [row, col, shape, "
+                      "color] entries")
+        for name, ids, n in (("question", meta["question"], n_words),
+                             ("answer_id", [meta["answer_id"]], n_answers),
+                             ("candidates", meta["candidates"], n_answers)):
+            if ids and not (min(ids) >= 0 and max(ids) < n):
+                raise bad(f"example {i} field {name!r} holds an id outside "
+                          f"[0, {n})")
+
+
+def _read_exact(f, n, size, what, path):
+    """n bytes from f, or DatasetFormatError naming what, offset and path."""
+    offset = f.tell()
+    if n > size - offset:
+        raise DatasetFormatError(f"truncated {what} at byte {offset}: needs "
+                                 f"{n} bytes, {size - offset} left in {path}")
+    return f.read(n)
+
+
 def load(path):
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(len(DATA_MAGIC))
         if magic != DATA_MAGIC:
             raise DatasetFormatError(f"bad magic at byte 0 in {path}")
-        raw = f.read(12)
-        if len(raw) != 12:
-            raise DatasetFormatError(f"truncated header at byte {f.tell()}")
+        raw = _read_exact(f, 12, size, "header", path)
         version, hlen = struct.unpack("<IQ", raw)
         if version != DATA_VERSION:
-            raise DatasetFormatError(f"unsupported version {version} at byte 8")
-        hb = f.read(hlen)
-        if len(hb) != hlen:
-            raise DatasetFormatError(f"truncated header at byte {f.tell()}")
+            raise DatasetFormatError(
+                f"unsupported version {version} at byte 8 in {path}")
+        offset = f.tell()
+        hb = _read_exact(f, hlen, size, "header", path)
         try:
             header = json.loads(hb)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(
-                f"bad header json at byte {len(DATA_MAGIC) + 12 + exc.pos}")
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            pos = getattr(exc, "pos", getattr(exc, "start", 0))
+            raise DatasetFormatError(f"bad header json at byte {offset + pos} "
+                                     f"in {path}") from exc
+        _check_header(header, offset, path)
         shape = tuple(header["image_shape"])
-        nbytes = int(np.prod(shape)) * 8
+        nbytes = math.prod(shape) * 8
         examples = []
         for meta in header["examples"]:
-            buf = f.read(nbytes)
-            if len(buf) != nbytes:
-                raise DatasetFormatError(f"truncated image at byte {f.tell()}")
+            buf = _read_exact(f, nbytes, size, "image", path)
             scene = Scene([SceneObject(r, c, s, col)
                            for r, c, s, col in meta["scene"]])
             examples.append(ToyVqaExample(

@@ -5,8 +5,14 @@ masked residual F = mask * V differ by the effect of the question mask;
 the gradient of 0.5*||V - F||^2 w.r.t. the input image (with F held
 constant) localizes that effect. Channel-summed absolute gradients are
 thresholded at mean + population std to produce the binary attention mask.
+
+One graph per example gives every block's gradient: the CNN runs once on
+L copies of the image, and block l's loss reads row l-1 of its features.
+The CNN never mixes rows, so one backward leaves block l's gradient in row
+l-1. CNN and blocks run on detached weights, so no parameter gets a grad.
 """
 
+import copy
 import json
 import os
 from dataclasses import dataclass
@@ -44,41 +50,35 @@ def attention_effect_loss(q_in, v, block):
 
 
 def attention_gradient(example, model, block_index):
-    """Gradient of block block_index's attention-effect loss w.r.t. pixels.
-
-    model is a VqaModel; the CNN runs with frozen weights but a
-    differentiable input (its visualization augmentation). The question
-    input of the block is H_{l-1} from a full forward pass, held constant.
-    """
-    q = encoders.gru_forward_trimzero(QuestionBatch.pad([example.question]),
-                                      model.gru)
-    return attention_gradient_for(example.image, q, model, block_index)
-
-
-def attention_gradient_for(image, q, model, block_index):
-    """As attention_gradient, with the encoded question q already given."""
+    """Block block_index's (C, H, W) row of attention_gradient_for."""
     n_blocks = len(model.mrn.blocks)
     if not (1 <= block_index <= n_blocks):
         raise IndexError(f"block index {block_index} not in [1, {n_blocks}]")
-    img = np.asarray(image.data if isinstance(image, Tensor) else image)
-    if img.ndim == 3:
-        img = img[None]
-    leaf = Tensor(img.copy(), requires_grad=True)
+    q = encoders.gru_forward_trimzero(QuestionBatch.pad([example.question]),
+                                      model.gru)
+    return attention_gradient_for(example.image, q, model)[block_index - 1]
+
+
+def attention_gradient_for(image, q, model):
+    """(L, C, H, W) pixel gradients of each block's attention-effect loss.
+
+    image is (C, H, W), q the (1, d_q) encoded question; the block inputs
+    H_0..H_{L-1} come from the detached features of row 0, held constant.
+    """
+    blocks = [copy.copy(blk) for blk in model.mrn.blocks]
+    for blk in blocks:
+        blk.params = {k: t.detach() for k, t in blk.params.items()}
+    leaf = Tensor(np.stack([image] * len(blocks)), requires_grad=True)
     v = cnn_forward(leaf, model.cnn, freeze=True)
-    # constant H_{l-1}: run the stack on a detached copy of v
-    q_const = q.detach() if isinstance(q, Tensor) else Tensor(np.asarray(q))
-    if q_const.ndim == 1:
-        q_const = ad.reshape(q_const, (1,) + q_const.shape)
-    h = q_const
-    v_const = v.detach()
-    vshort = None
-    for blk in model.mrn.blocks[:block_index - 1]:
-        h, vshort = block_forward(h, v_const, blk, vshort)
-    block = model.mrn.blocks[block_index - 1]
-    loss = attention_effect_loss(h.detach(), v, block)
-    loss.backward()
-    grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-    return grad[0]
+    v_const = Tensor(v.data[:1])
+    h, vshort = q.detach(), None
+    total = attention_effect_loss(h, ad.take_rows(v, slice(0, 1)), blocks[0])
+    for l in range(1, len(blocks)):
+        h, vshort = block_forward(h, v_const, blocks[l - 1], vshort)
+        row = ad.take_rows(v, slice(l, l + 1))
+        total = ad.add(total, attention_effect_loss(h, row, blocks[l]))
+    total.backward()
+    return leaf.grad
 
 
 @dataclass
@@ -144,8 +144,8 @@ def visualize_sequence(example, model, out_dir):
     heatmaps = []
     manifest = {"question": example.question_text, "blocks": {}}
     panels = [np.asarray(example.image)]
-    for l in range(1, len(model.mrn.blocks) + 1):
-        raw = attention_gradient_for(example.image, q, model, l)
+    raws = attention_gradient_for(example.image, q, model)
+    for l, raw in enumerate(raws, start=1):
         hm = render_heatmap(raw, block_index=l)
         heatmaps.append(hm)
         spath = os.path.join(out_dir, f"block{l}_saliency.pgm")

@@ -240,7 +240,7 @@ def test_acceptance_5_visualization_fidelity():
     tokens = np.array([[1, 3, 2]])
     q = gru_forward(QuestionBatch(tokens, np.array([3])), model.gru)
     block_index = 2
-    grad = attention_gradient_for(img, q, model, block_index)
+    grad = attention_gradient_for(img, q, model)[block_index - 1]
     # directional-derivative oracle: forward-only loss with frozen residual
     from mrn.encoders import cnn_forward
     from mrn.model import block_forward, joint_residual

@@ -1,11 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mrn import data as data_mod
 from mrn.cli import build_parser, load_config_file, main
+from mrn.encoders import CnnConfig
+from mrn.model import ModelDims
+from mrn.vqa import VqaModel, load_checkpoint, save_checkpoint
 
 
 def sha(path):
@@ -138,6 +146,74 @@ def test_eval_bad_checkpoint_header_exit_code(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "checkpoint header at offset 16: missing field 'd_emb'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("header, message", [
+    ({}, "header is missing field 'seed'"),
+    ([], "header is not a JSON object"),
+    ("no-caption", "example 0 is missing field 'caption'"),
+], ids=["empty-object", "list", "no-caption"])
+def test_eval_bad_dataset_header_exit_code(workdir, tmp_path, capsys, header,
+                                           message):
+    blob = (workdir / "ds.mrnd").read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[12:20])
+    if header == "no-caption":
+        header = json.loads(blob[20:20 + hlen])
+        del header["examples"][0]["caption"]
+    hb = json.dumps(header).encode()
+    bad = tmp_path / "bad.mrnd"
+    bad.write_bytes(blob[:12] + struct.pack("<Q", len(hb)) + hb
+                    + blob[20 + hlen:])
+    rc = main(["eval", "--data", str(bad), "--checkpoint",
+               str(tmp_path / "unused.ckpt"), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"bad header at byte 20: {message} in {bad}" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """A 10-example dataset and a one-block checkpoint that evaluates on it."""
+    d = tmp_path_factory.mktemp("cut")
+    data_mod.save(data_mod.generate(4, 10), str(d / "ds.mrnd"))
+    model = VqaModel(vocab_size=len(data_mod.QUESTION_WORDS), d_emb=3,
+                     dims=ModelDims(d_q=4, d_v=5, d_joint=5, n_blocks=1,
+                                    n_answers=len(data_mod.ANSWER_VOCAB)),
+                     cnn_config=CnnConfig(channels1=2, channels2=3, d_out=5))
+    save_checkpoint(model, str(d / "m.ckpt"))
+    assert quiet_eval(d / "ds.mrnd", d / "m.ckpt", d / "out") == (0, "")
+    return d
+
+
+def quiet_eval(data, ckpt, out):
+    """Exit code and stderr of mrn eval on the train split."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                   "--out", str(out), "--split", "train"])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("name, error", [
+    ("ds.mrnd", data_mod.DatasetFormatError), ("m.ckpt", ValueError)])
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_truncation_anywhere_is_a_typed_error(small_files, name, error, data):
+    blob = (small_files / name).read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    path = small_files / f"cut-{name}"
+    path.write_bytes(blob[:cut])
+    load = data_mod.load if name.endswith(".mrnd") else load_checkpoint
+    with pytest.raises(error) as info:
+        load(str(path))
+    assert str(path) in str(info.value)
+    files = {"ds.mrnd": small_files / "ds.mrnd",
+             "m.ckpt": small_files / "m.ckpt", name: path}
+    rc, err = quiet_eval(files["ds.mrnd"], files["m.ckpt"],
+                         small_files / "out")
+    assert rc == 1 and str(path) in err
 
 
 @pytest.mark.parametrize("command, mismatch, message", [

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import os
+import struct
 from collections import Counter
 
 import numpy as np
@@ -165,6 +167,49 @@ def test_truncated_file_parse_error(tmp_path):
         f.write(data[:len(data) - 100])
     with pytest.raises(DatasetFormatError, match="byte"):
         load(cut)
+
+
+def with_header(src, dst, edit):
+    """Copy the .mrnd file src to dst with its JSON header h set to edit(h)."""
+    blob = open(src, "rb").read()
+    (hlen,) = struct.unpack("<Q", blob[12:20])
+    hb = json.dumps(edit(json.loads(blob[20:20 + hlen]))).encode()
+    with open(dst, "wb") as f:
+        f.write(blob[:12] + struct.pack("<Q", len(hb)) + hb + blob[20 + hlen:])
+
+
+def drop_first_caption(header):
+    del header["examples"][0]["caption"]
+    return header
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: {}, "header is missing field 'seed'"),
+    (lambda h: [], "header is not a JSON object"),
+    (drop_first_caption, "example 0 is missing field 'caption'"),
+    (lambda h: {**h, "seed": True}, "field 'seed' should be int"),
+    (lambda h: {**h, "image_shape": [3, 0, 32]}, "not 3 positive ints"),
+    (lambda h: {**h, "answer_vocab": ["yes", 1]},
+     "'answer_vocab' should be list of str"),
+    (lambda h: {**h, "question_vocab": h["question_vocab"][:2]},
+     "example 0 field 'question' holds an id outside [0, 2)"),
+    (lambda h: {**h, "answer_vocab": h["answer_vocab"][:1]},
+     "example 0 field 'answer_id' holds an id outside [0, 1)"),
+    (lambda h: {**h, "examples": [{**h["examples"][0], "question": []}]},
+     "example 0 field 'question' is empty"),
+], ids=["empty-object", "list", "no-caption", "bool-seed", "zero-dim",
+        "mixed-vocab", "token-out-of-range", "answer-out-of-range",
+        "empty-question"])
+def test_bad_header_names_field(tmp_path, edit, message):
+    good = os.path.join(tmp_path, "good.mrnd")
+    save(generate(9, 3), good)
+    bad = os.path.join(tmp_path, "bad.mrnd")
+    with_header(good, bad, edit)
+    with pytest.raises(DatasetFormatError) as info:
+        load(bad)
+    msg = str(info.value)
+    assert msg.startswith("bad header at byte 20: ") and message in msg
+    assert msg.endswith(f" in {bad}")
 
 
 def test_bad_magic_and_version(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 
 from mrn import autodiff as ad
+from mrn import visualization
 from mrn.autodiff import Tensor
 from mrn.encoders import cnn_forward
 from mrn.gradcheck import tiny_model
-from mrn.model import ModelDims, VariantSpec, LearningBlock, joint_residual, \
-    visual_embedding
+from mrn.model import VARIANTS, ModelDims, VariantSpec, LearningBlock, \
+    joint_residual, visual_embedding
 from mrn.training import init_params
 from mrn.visualization import AttentionHeatmap, UnsupportedVariantError, \
     attention_effect_loss, attention_gradient, attention_gradient_for, \
@@ -99,15 +101,17 @@ def oracle_loss(img, q, model, block_index):
     return v, h, f0
 
 
-def test_gradient_matches_directional_derivatives(model):
+@pytest.mark.parametrize("variant, l", list(itertools.product(VARIANTS,
+                                                               (1, 2, 3))))
+def test_gradient_matches_directional_derivatives(variant, l):
+    model = tiny_model(seed=6, variant=variant)
     rng = np.random.default_rng(7)
     img = rng.uniform(0, 1, (3, 8, 8))
     ex = example_like(model, seed=8)
     ex.image = img
     from mrn.encoders import QuestionBatch, gru_forward
     q = gru_forward(QuestionBatch.pad([ex.question]), model.gru)
-    l = 2
-    grad = attention_gradient_for(img, q, model, l)
+    grad = attention_gradient_for(img, q, model)[l - 1]
     # frozen residual from the base image
     _, h_base, f0 = oracle_loss(img, q, model, l)
     block = model.mrn.blocks[l - 1]
@@ -161,7 +165,7 @@ def test_constant_residual_differs_from_full_gradient(model):
     ex = example_like(model, seed=11)
     from mrn.encoders import QuestionBatch, gru_forward
     q = gru_forward(QuestionBatch.pad([ex.question]), model.gru)
-    frozen = attention_gradient_for(ex.image, q, model, 1)
+    frozen = attention_gradient_for(ex.image, q, model)[0]
     # full gradient: residual stays in the graph
     leaf = Tensor(ex.image[None].copy(), requires_grad=True)
     v = cnn_forward(leaf, model.cnn, freeze=True)
@@ -270,3 +274,31 @@ def test_visualize_sequence_deterministic(tmp_path, model):
     for a, b in zip(h1, h2):
         assert np.array_equal(a.raw, b.raw)
         assert np.array_equal(a.mask, b.mask)
+
+
+def test_visualize_sequence_leaves_parameter_grads_unset(tmp_path):
+    m = tiny_model(seed=6)
+    visualize_sequence(example_like(m, seed=16), m, str(tmp_path))
+    assert {name: t.grad for name, t in m.named_parameters().items()
+            if t.grad is not None} == {}
+
+
+def test_visualize_sequence_one_cnn_forward_one_backward(tmp_path, model,
+                                                         monkeypatch):
+    calls = {"cnn_forward": 0, "backward": 0}
+    forward, backward = visualization.cnn_forward, Tensor.backward
+
+    def counted_cnn_forward(*args, **kwargs):
+        calls["cnn_forward"] += 1
+        return forward(*args, **kwargs)
+
+    def counted_backward(self):
+        calls["backward"] += 1
+        return backward(self)
+
+    monkeypatch.setattr(visualization, "cnn_forward", counted_cnn_forward)
+    monkeypatch.setattr(Tensor, "backward", counted_backward)
+    heatmaps, _ = visualize_sequence(example_like(model, seed=17), model,
+                                     str(tmp_path))
+    assert len(heatmaps) == 3
+    assert calls == {"cnn_forward": 1, "backward": 1}
