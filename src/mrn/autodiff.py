@@ -333,7 +333,8 @@ def conv2d(x, w, b=None, padding=1):
     out = Tensor(y, _parents=parents)
 
     def _bw(g):
-        gxp, gw = kernels.conv2d_backward(xp, w.data, g)
+        gxp, gw = kernels.conv2d_backward(xp, w.data, g, x.requires_grad,
+                                          w.requires_grad)
         if x.requires_grad:
             h, wd = x.shape[2], x.shape[3]
             x._accum(gxp[:, :, pad:pad + h, pad:pad + wd])
@@ -347,13 +348,18 @@ def conv2d(x, w, b=None, padding=1):
 
 def avgpool2d(x, k=2):
     """Non-overlapping k x k average pooling; H, W must divide by k."""
-    bsz, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h % k or w % k:
         raise ShapeError(f"avgpool2d: {h}x{w} not divisible by {k}")
-    y = x.data.reshape(bsz, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    taps = [(i, j) for i in range(k) for j in range(k)]
+    y = sum(x.data[:, :, i::k, j::k] for i, j in taps) / (k * k)
     out = Tensor(y, _parents=(x,))
 
     def _bw(g):
-        x._accum(np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k))
+        gx = np.empty_like(x.data)
+        gk = g / (k * k)
+        for i, j in taps:
+            gx[:, :, i::k, j::k] = gk
+        x._accum(gx)
     out._backward = _bw if out.requires_grad else None
     return out

@@ -170,8 +170,9 @@ class ToyCnn:
 def cnn_forward(image, cnn, freeze=False):
     """Image (C,H,W) or (B,C,H,W) -> features (B, d_out).
 
-    freeze detaches the weights so no gradient reaches them; the input
-    image still receives gradients (needed by the visualization path).
+    freeze detaches the weights so no gradient reaches them, and the conv
+    backward skips the weight-gradient work; the input image still
+    receives gradients (needed by the visualization path).
     """
     c = cnn.config
     x = image if isinstance(image, Tensor) else Tensor(image)

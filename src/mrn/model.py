@@ -54,6 +54,11 @@ class ModelDims:
     n_answers: int = 20
     n_blocks: int = 3
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+
 
 class LearningBlock:
     def __init__(self, spec, index, d_in, d_v, d_joint, use_bias=True):
@@ -154,8 +159,6 @@ class MrnModel:
         self.variant = variant
         self.spec = VARIANTS[variant]
         self.dims = dims or ModelDims()
-        if self.dims.n_blocks < 1:
-            raise ConfigError("need at least one learning block")
         self.use_bias = use_bias
         self.blocks = []
         d_in = self.dims.d_q

@@ -4,6 +4,7 @@ Everything is deterministic given the config seed: initialization, batch
 order and dropout masks each draw from their own seeded generator streams.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,11 @@ class TrainConfig:
     eval_every: int = 100
 
     def validate(self):
+        # 0 is allowed: a run that keeps the initial parameters
+        if not (math.isfinite(self.learning_rate)
+                and self.learning_rate >= 0.0):
+            raise ValueError(f"learning rate {self.learning_rate} must be "
+                             "finite and >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout rate {self.dropout_rate} not in [0, 1)")
         if self.init_range <= 0:

@@ -19,7 +19,7 @@ from .autodiff import Tensor
 from . import encoders
 from .encoders import CnnConfig, GruEncoder, QuestionBatch, ToyCnn, gru_forward, \
     gru_forward_trimzero
-from .model import ModelDims, MrnModel, mrn_forward
+from .model import ConfigError, ModelDims, MrnModel, mrn_forward
 
 CKPT_MAGIC = b"MRNCKPT1"
 
@@ -27,6 +27,8 @@ CKPT_MAGIC = b"MRNCKPT1"
 class VqaModel:
     def __init__(self, vocab_size, d_emb=16, variant="b", dims=None,
                  cnn_config=None, use_bias=True):
+        if d_emb < 1:
+            raise ConfigError(f"d_emb must be >= 1, got {d_emb}")
         self.vocab_size = vocab_size
         self.d_emb = d_emb
         self.dims = dims or ModelDims()

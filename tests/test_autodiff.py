@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrn import autodiff as ad
 from mrn.autodiff import Tensor
@@ -249,3 +250,40 @@ def test_model_step_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert leftover == 0
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(bsz=st.integers(1, 2), c=st.integers(1, 3), o=st.integers(1, 3),
+       h=st.integers(2, 5), w=st.integers(2, 5), padding=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv2d_gradients_match_finite_differences(bsz, c, o, h, w, padding,
+                                                   seed):
+    rng = np.random.default_rng(seed)
+    args = [rng.standard_normal((bsz, c, h + 2 - 2 * padding,
+                                 w + 2 - 2 * padding)),
+            rng.standard_normal((o, c, 3, 3)) * 0.5,
+            rng.standard_normal(o) * 0.5]
+    # at this loss scale the finite differences' rounding stays far below
+    # the tolerance on near-zero entries, where rel_err divides by 1e-6
+    r = rng.standard_normal((bsz, o, h, w)) * 0.1
+    # one leaf at a time, so the kernel also runs with a gradient skipped
+    for i in range(3):
+        def loss(leaf, i=i):
+            x, wt, b = (leaf if j == i else Tensor(a)
+                        for j, a in enumerate(args))
+            y = ad.tanh(ad.conv2d(x, wt, b, padding=padding))
+            return ad.tsum(ad.mul(y, Tensor(r)))
+        assert check_tensor_grad(loss, args[i]) < 1e-4
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(bsz=st.integers(1, 2), c=st.integers(1, 3), k=st.sampled_from([1, 2, 3]),
+       hk=st.integers(1, 3), wk=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_avgpool_gradient_matches_finite_differences(bsz, c, k, hk, wk, seed):
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((bsz, c, hk, wk))
+    err = check_tensor_grad(
+        lambda t: ad.tsum(ad.mul(ad.tanh(ad.avgpool2d(t, k)), Tensor(r))),
+        rng.standard_normal((bsz, c, hk * k, wk * k)))
+    assert err < 1e-4

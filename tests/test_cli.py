@@ -136,6 +136,36 @@ def test_train_zero_iterations_exit_code(workdir, tmp_path, capsys):
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--dim", "0", "d_joint must be >= 1, got 0"),
+    ("--d-v", "0", "d_v must be >= 1, got 0"),
+    ("--d-q", "-3", "d_q must be >= 1, got -3"),
+    ("--d-emb", "0", "d_emb must be >= 1, got 0"),
+    ("--lr", "-1", "learning rate -1.0 must be finite and >= 0"),
+    ("--lr", "nan", "learning rate nan must be finite and >= 0"),
+])
+def test_train_degenerate_config_exit_code(workdir, tmp_path, capsys, flag,
+                                           value, message):
+    out = tmp_path / "degenerate"
+    rc = main(train_args(workdir, str(out), [flag, value]))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (out / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("dim,budget_dim", [("0", "8"), ("8", "0")])
+def test_ablate_zero_dim_exit_code(workdir, tmp_path, capsys, dim,
+                                   budget_dim):
+    rc = main(["ablate", "--data", str(workdir / "ds.mrnd"),
+               "--out", str(tmp_path), "--iters", "2", "--batch", "4",
+               "--dim", dim, "--budget-dim", budget_dim])
+    assert rc == 1
+    assert "d_joint must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "ablation.csv").exists()
+
+
 def test_eval_bad_checkpoint_header_exit_code(workdir, tmp_path, capsys):
     path = tmp_path / "bad.ckpt"
     hb = b'{"vocab_size": 5}'

@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mrn import data as data_mod
+from mrn import kernels
 from mrn.autodiff import Tensor
 from mrn.encoders import CnnConfig
+from mrn.gradcheck import tiny_batch, tiny_model
 from mrn.model import ModelDims
 from mrn.training import NumericalError, TrainConfig, dropout, init_params, \
     rmsprop_step, train
@@ -129,6 +133,36 @@ def test_config_validation():
         TrainConfig(batch_size=0).validate()
     with pytest.raises(ValueError):
         TrainConfig(dropout_mode="spicy").validate()
+
+
+@pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+def test_bad_learning_rate_rejected_before_any_step(toy_ds, lr):
+    model = small_model()
+    with pytest.raises(ValueError, match=f"learning rate {lr} must be"):
+        train(model, toy_ds.split("train"),
+              TrainConfig(batch_size=4, iterations=1, learning_rate=lr))
+    assert all(not t.data.any() for t in model.named_parameters().values())
+
+
+def test_train_step_asks_conv1_for_no_input_gradient(monkeypatch):
+    # conv1 reads the image, which needs no gradient; conv2 needs both
+    model = tiny_model()
+    images, batch, targets = tiny_batch(batch_size=2)
+    examples = [SimpleNamespace(image=images[i], answer_id=targets[i],
+                                question=batch.tokens[i, :batch.lengths[i]])
+                for i in range(2)]
+    asked = []
+    real = kernels.conv2d_backward
+
+    def spy(xp, w, gy, need_gx=True, need_gw=True):
+        asked.append((xp.shape[1], need_gx, need_gw))
+        return real(xp, w, gy, need_gx, need_gw)
+
+    monkeypatch.setattr(kernels, "conv2d_backward", spy)
+    train(model, examples, TrainConfig(batch_size=2, iterations=1),
+          initialize=False)
+    assert asked == [(model.cnn.config.channels1, True, True),
+                     (model.cnn.config.in_channels, False, True)]
 
 
 @pytest.mark.parametrize("field", ["iterations", "eval_every"])

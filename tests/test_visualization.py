@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mrn import autodiff as ad
-from mrn import visualization
+from mrn import kernels, visualization
 from mrn.autodiff import Tensor
 from mrn.encoders import cnn_forward
 from mrn.gradcheck import tiny_model
@@ -302,3 +302,17 @@ def test_visualize_sequence_one_cnn_forward_one_backward(tmp_path, model,
                                      str(tmp_path))
     assert len(heatmaps) == 3
     assert calls == {"cnn_forward": 1, "backward": 1}
+
+
+def test_visualize_sequence_asks_conv_for_no_weight_gradient(tmp_path, model,
+                                                             monkeypatch):
+    asked = []
+    real = kernels.conv2d_backward
+
+    def spy(xp, w, gy, need_gx=True, need_gw=True):
+        asked.append((need_gx, need_gw))
+        return real(xp, w, gy, need_gx, need_gw)
+
+    monkeypatch.setattr(kernels, "conv2d_backward", spy)
+    visualize_sequence(example_like(model, seed=18), model, str(tmp_path))
+    assert asked == [(True, False), (True, False)]
