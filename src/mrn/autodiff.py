@@ -9,9 +9,10 @@ A closure captures its parents and arrays, never its own output node, so a
 graph holds no reference cycle: it is freed by reference counting as soon
 as its last reference drops, without waiting for the cyclic collector.
 
+Ops are called by name (``add(a, b)``); Tensor overloads no operators.
 Elementwise ops require identical shapes; the only broadcasting allowed is
-a python scalar (or 0-d tensor) against a tensor. Row-vector bias addition
-is its own op (``add_bias``) so the rule stays explicit.
+a 0-d tensor against a tensor. Row-vector bias addition is its own op
+(``add_bias``) so the rule stays explicit.
 """
 
 import numpy as np
@@ -86,35 +87,8 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _lift(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 def _check_elementwise(a, b, opname):

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen, train, eval, ablate, viz, gradcheck. A key=value config
-file can seed any flag's default (flags win). Exit codes: 0 success,
-1 validation error, 2 numerical failure, 3 I/O error.
+file sets defaults for the chosen subcommand's flags (flags win). Exit
+codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation, training, visualization
-from .gradcheck import check_full_model, check_tensor_grad, tiny_model
+from .gradcheck import check_full_model, check_tensor_grad
 from .model import ConfigError, ModelDims, VARIANTS
 from .training import NumericalError, TrainConfig
 from .vqa import VqaModel, load_checkpoint, save_checkpoint
@@ -45,8 +45,10 @@ def load_config_file(path):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="mrn", description=__doc__)
-    p.add_argument("--config", help="key=value config file; flags override it")
+    p.add_argument("--config", help="key=value defaults for the "
+                   "subcommand's flags; flags override it")
     sub = p.add_subparsers(dest="command", required=True)
+    p.subcommands = sub.choices   # name -> its parser, for --config
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=7)
@@ -75,7 +77,6 @@ def build_parser():
         sp.add_argument("--dropout-mode", choices=["standard", "bayesian"],
                         default="standard")
         sp.add_argument("--freeze-cnn", action="store_true")
-        sp.add_argument("--no-trimzero", action="store_true")
 
     t = sub.add_parser("train", help="train a model")
     common(t)
@@ -142,10 +143,8 @@ def _make_model(args, ds):
 def _train_config(args):
     return TrainConfig(
         batch_size=args.batch, iterations=args.iters, learning_rate=args.lr,
-        dropout_rate=args.dropout,
-        dropout_mode=getattr(args, "dropout_mode", "standard"),
-        seed=args.seed, freeze_cnn=getattr(args, "freeze_cnn", False),
-        trimzero=not getattr(args, "no_trimzero", False))
+        dropout_rate=args.dropout, dropout_mode=args.dropout_mode,
+        seed=args.seed, freeze_cnn=args.freeze_cnn)
 
 
 def cmd_train(args):
@@ -292,10 +291,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # config values become defaults, so explicit flags win on re-parse
-            values = load_config_file(args.config)
-            parser.set_defaults(**{k: _coerce(v) for k, v in values.items()})
-            args = parser.parse_args(argv)
+            args = _parse_with_config(parser, args, argv)
         return COMMANDS[args.command](args)
     except (ValidationError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -308,15 +304,28 @@ def main(argv=None):
         return 3
 
 
-def _coerce(v):
-    for cast in (int, float):
-        try:
-            return cast(v)
-        except ValueError:
-            pass
-    if v.lower() in ("true", "false"):
-        return v.lower() == "true"
-    return v
+def _parse_with_config(parser, args, argv):
+    """argv parsed again with the config file's values as defaults of the
+    chosen subcommand's parser, so that flags still win.
+
+    argparse converts a string default with its option's type; an on/off
+    flag takes true or false. A key that is not an option of the
+    subcommand raises ValidationError naming the file and the key.
+    """
+    sp = parser.subcommands[args.command]
+    defaults = {}
+    for key, value in load_config_file(args.config).items():
+        if key not in vars(args) or key in ("config", "command"):
+            raise ValidationError(f"{args.config}: {key!r} is not an option "
+                                  f"of mrn {args.command}")
+        if isinstance(sp.get_default(key), bool):
+            if value.lower() not in ("true", "false"):
+                raise ValidationError(f"{args.config}: {key!r} must be true "
+                                      f"or false, got {value!r}")
+            value = value.lower() == "true"
+        defaults[key] = value
+    sp.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 if __name__ == "__main__":

@@ -158,6 +158,10 @@ def _caption(scene):
 # generation
 
 ANSWER_TYPE_BY_QTYPE = {"yn": "Y/N", "num": "Number", "other": "Other"}
+SPLITS = ("train", "val", "test")
+HUMANS = 10
+# of the HUMANS answers, this many are a wrong answer of the same type
+WRONG_HUMANS = 1
 _TYPE_POOLS = {
     "Y/N": ["yes", "no"],
     "Number": [str(i) for i in range(9)],
@@ -165,9 +169,9 @@ _TYPE_POOLS = {
 }
 
 
-def _sample_scene(rng, n_objects=None):
-    n = int(n_objects if n_objects is not None else rng.integers(1, 7))
-    cells = rng.choice(GRID * GRID, size=n, replace=False)
+def _sample_scene(rng):
+    cells = rng.choice(GRID * GRID, size=int(rng.integers(1, 7)),
+                       replace=False)
     objs = []
     for cell in cells:
         objs.append(SceneObject(
@@ -177,7 +181,7 @@ def _sample_scene(rng, n_objects=None):
     return Scene(objs)
 
 
-def make_example(seed, index, split="train", n_wrong_humans=1):
+def make_example(seed, index, split="train"):
     rng = np.random.default_rng((seed, index))
     qtype = ("yn", "num", "other")[rng.integers(3)]
     while True:
@@ -196,9 +200,9 @@ def make_example(seed, index, split="train", n_wrong_humans=1):
     answer = answer_question(scene, qtype, arg)
     atype = ANSWER_TYPE_BY_QTYPE[qtype]
     pool = [a for a in _TYPE_POOLS[atype] if a != answer]
-    distractors = [pool[rng.integers(len(pool))] for _ in range(n_wrong_humans)]
-    humans = [answer] * (10 - n_wrong_humans) + distractors
-    perm = rng.permutation(10)
+    distractors = [pool[rng.integers(len(pool))] for _ in range(WRONG_HUMANS)]
+    humans = [answer] * (HUMANS - WRONG_HUMANS) + distractors
+    perm = rng.permutation(HUMANS)
     humans = [humans[i] for i in perm]
     cand = {ANSWER_ID[answer]} | {ANSWER_ID[d] for d in distractors}
     rest = [i for i in range(len(ANSWER_VOCAB)) if i not in cand]
@@ -212,7 +216,7 @@ def make_example(seed, index, split="train", n_wrong_humans=1):
         split=split, scene=scene)
 
 
-def generate(seed, n, split_ratios=(0.7, 0.2, 0.1), n_wrong_humans=1):
+def generate(seed, n, split_ratios=(0.7, 0.2, 0.1)):
     """Deterministic dataset of n examples with train/val/test tags."""
     if n < 1:
         raise ValueError("need at least one example")
@@ -222,7 +226,7 @@ def generate(seed, n, split_ratios=(0.7, 0.2, 0.1), n_wrong_humans=1):
     for i in range(n):
         split = "train" if i < n_train else ("val" if i < n_train + n_val
                                              else "test")
-        examples.append(make_example(seed, i, split, n_wrong_humans))
+        examples.append(make_example(seed, i, split))
     return Dataset(seed=seed, examples=examples)
 
 
@@ -304,10 +308,20 @@ def _check_header(header, offset, path):
                   "ints")
     n_words = len(header["question_vocab"])
     n_answers = len(header["answer_vocab"])
+    answer_types = tuple(ANSWER_TYPE_BY_QTYPE.values())
     for i, meta in enumerate(header["examples"]):
         _check_fields(meta, _EXAMPLE_FIELDS, f"example {i}", bad)
-        if not meta["question"]:
-            raise bad(f"example {i} field 'question' is empty")
+        for name in ("question", "candidates"):
+            if not meta[name]:
+                raise bad(f"example {i} field {name!r} is empty")
+        if len(meta["humans"]) != HUMANS:
+            raise bad(f"example {i} field 'humans' holds "
+                      f"{len(meta['humans'])} answers, expected {HUMANS}")
+        for name, allowed in (("answer_type", answer_types),
+                              ("split", SPLITS)):
+            if meta[name] not in allowed:
+                raise bad(f"example {i} field {name!r} is {meta[name]!r}, "
+                          f"not one of {', '.join(allowed)}")
         if any(len(o) != 4 for o in meta["scene"]):
             raise bad(f"example {i} field 'scene' needs [row, col, shape, "
                       "color] entries")

@@ -17,6 +17,10 @@ from .model import ModelDims, MrnModel, param_count, solve_dim_for_budget
 from .vqa import VqaModel
 
 
+# every parameter starts i.i.d. uniform(-INIT_RANGE, INIT_RANGE)
+INIT_RANGE = 0.08
+
+
 class NumericalError(RuntimeError):
     """Non-finite value encountered during optimization."""
 
@@ -26,15 +30,10 @@ class TrainConfig:
     batch_size: int = 32
     iterations: int = 5000
     learning_rate: float = 3e-4
-    rmsprop_decay: float = 0.99
-    rmsprop_eps: float = 1e-8
     dropout_rate: float = 0.2
     dropout_mode: str = "standard"   # "standard" | "bayesian"
-    init_range: float = 0.08
     seed: int = 0
     freeze_cnn: bool = False
-    trimzero: bool = True
-    grad_clip: float = 0.0           # 0 disables clipping
     eval_every: int = 100
 
     def validate(self):
@@ -45,8 +44,6 @@ class TrainConfig:
                              "finite and >= 0")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout rate {self.dropout_rate} not in [0, 1)")
-        if self.init_range <= 0:
-            raise ValueError("init range must be positive")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.iterations < 1:
@@ -87,12 +84,12 @@ def make_dropout_mask(shape, rate, rng):
     return keep / (1.0 - rate)
 
 
-def dropout(x, rate, rng=None, phase="train", mask=None):
+def dropout(x, rate, rng=None, mask=None):
     """Standard inverted dropout; pass a precomputed mask for the
     per-sequence (bayesian) variant so it can be reused across steps."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate {rate} not in [0, 1)")
-    if phase != "train" or rate == 0.0:
+    if rate == 0.0:
         return x
     if mask is None:
         mask = make_dropout_mask(x.shape, rate, rng)
@@ -130,7 +127,7 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
                          f"{len(train_set)} training examples")
     params = model.named_parameters(include_cnn=not config.freeze_cnn)
     if initialize:
-        init_params(model.named_parameters(), config.init_range, config.seed)
+        init_params(model.named_parameters(), INIT_RANGE, config.seed)
     state = {}
     rng_data = np.random.default_rng((config.seed, 1))
     rng_drop = np.random.default_rng((config.seed, 2))
@@ -149,7 +146,7 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
                     (len(idx), model.d_emb), rate, rng_drop)
 
                 def input_dropout(x, t, rows):
-                    return dropout(x, rate, phase="train", mask=seq_masks[rows])
+                    return dropout(x, rate, mask=seq_masks[rows])
             else:
                 def input_dropout(x, t, rows):
                     return dropout(x, rate, rng_drop)
@@ -162,20 +159,13 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
         for t in params.values():
             t.zero_grad()
         _, logits = model.forward(
-            images, qbatch, trimzero=config.trimzero,
-            freeze_cnn=config.freeze_cnn, input_dropout=input_dropout,
-            joint_dropout=joint_dropout)
+            images, qbatch, freeze_cnn=config.freeze_cnn,
+            input_dropout=input_dropout, joint_dropout=joint_dropout)
         loss = ad.softmax_cross_entropy(logits, targets)
         if not np.isfinite(loss.item()):
             raise NumericalError(f"non-finite loss at iteration {it}")
         loss.backward()
-        if config.grad_clip > 0.0:
-            for t in params.values():
-                if t.grad is not None:
-                    np.clip(t.grad, -config.grad_clip, config.grad_clip,
-                            out=t.grad)
-        rmsprop_step(params, state, config.learning_rate,
-                     config.rmsprop_decay, config.rmsprop_eps)
+        rmsprop_step(params, state, config.learning_rate)
         for t in params.values():
             if not np.all(np.isfinite(t.data)):
                 raise NumericalError(f"non-finite parameter at iteration {it}")

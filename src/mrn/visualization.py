@@ -28,21 +28,8 @@ from .encoders import QuestionBatch, cnn_forward
 from .model import block_forward, joint_residual, visual_embedding
 
 
-class UnsupportedVariantError(ValueError):
-    """The variant's residual does not factor into mask * visual branch."""
-
-
-def _check_factorable(spec):
-    # every registered variant carries the two-factor product; the check
-    # guards externally constructed specs without a visual branch
-    if spec.visual_depth not in (1, 2):
-        raise UnsupportedVariantError(
-            f"variant {spec.tag!r} has no factorable visual branch")
-
-
 def attention_effect_loss(q_in, v, block):
     """0.5 * sum((V - F)^2) with F detached from the graph."""
-    _check_factorable(block.spec)
     vis = visual_embedding(v, block)
     f_const = joint_residual(q_in, v, block).detach()
     diff = ad.sub(vis, f_const)

@@ -12,13 +12,12 @@ import struct
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 # cnn_forward is looked up through its module at call time, so a wrapper set
 # on encoders.cnn_forward (a profiler, a test double) applies here too
 from . import encoders
-from .encoders import CnnConfig, GruEncoder, QuestionBatch, ToyCnn, gru_forward, \
-    gru_forward_trimzero
+from .encoders import CnnConfig, GruEncoder, ToyCnn, gru_forward_trimzero
+# not called here; mrnbench/spans.py wraps this module's gru_forward name
+from .encoders import gru_forward  # noqa: F401
 from .model import ConfigError, ModelDims, MrnModel, mrn_forward
 
 CKPT_MAGIC = b"MRNCKPT1"
@@ -52,11 +51,10 @@ class VqaModel:
             out[f"mrn.{k}"] = t
         return out
 
-    def forward(self, images, batch, trimzero=True, freeze_cnn=False,
-                counter=None, input_dropout=None, joint_dropout=None):
+    def forward(self, images, batch, freeze_cnn=False, input_dropout=None,
+                joint_dropout=None):
         """images (B,C,H,W) array or Tensor; batch: QuestionBatch."""
-        encode = gru_forward_trimzero if trimzero else gru_forward
-        q = encode(batch, self.gru, counter=counter, input_dropout=input_dropout)
+        q = gru_forward_trimzero(batch, self.gru, input_dropout=input_dropout)
         v = encoders.cnn_forward(images, self.cnn, freeze=freeze_cnn)
         return mrn_forward(q, v, self.mrn, joint_dropout=joint_dropout)
 

@@ -57,7 +57,7 @@ def test_elementwise_shape_mismatch():
 def test_scalar_broadcast_allowed():
     out = ad.mul(Tensor(2.0), Tensor([1.0, 2.0]))
     assert out.data.tolist() == [2.0, 4.0]
-    out = 1.0 - Tensor([0.25, 0.5])
+    out = ad.sub(Tensor(1.0), Tensor([0.25, 0.5]))
     assert out.data.tolist() == [0.75, 0.5]
 
 

@@ -44,6 +44,7 @@ def test_help_lists_flags(capsys):
                  "--batch", "--dropout", "--dropout-mode", "--freeze-cnn",
                  "--out"):
         assert flag in out
+    assert "--no-trimzero" not in out
 
 
 def test_gen_writes_dataset_and_jsonl(workdir):
@@ -90,12 +91,34 @@ def test_config_file_defaults_and_flag_override(workdir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("config_version=1\niters=10\nbatch=4\ndim=16\n"
                    "d_q=8\nd_v=16\nd_emb=4\nblocks=2\nseed=5\n")
-    out = str(tmp_path / "cfgrun")
+    for name, flags, last in (("cfgrun", [], "10,"),
+                              ("flagrun", ["--iters", "6"], "6,")):
+        out = str(tmp_path / name)
+        rc = main(["--config", str(cfg), "train", "--data",
+                   str(workdir / "ds.mrnd"), "--out", out, *flags])
+        assert rc == 0
+        rows = open(os.path.join(out, "metrics.csv")).read().splitlines()
+        assert rows[-1].startswith(last)  # the file's iters=10 unless a flag
+        model = load_checkpoint(os.path.join(out, "model.ckpt"))
+        assert (model.dims.d_q, model.d_emb, len(model.mrn.blocks)) == (8, 4, 2)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("protocol=oe", "'protocol' is not an option of mrn train"),
+    ("freeze_cnn=maybe", "'freeze_cnn' must be true or false, got 'maybe'"),
+], ids=["unknown-key", "bad-switch"])
+def test_config_file_bad_key_exit_code(workdir, tmp_path, capsys, line,
+                                       message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"iters=10\n{line}\n")
+    out = tmp_path / "unknown"
     rc = main(["--config", str(cfg), "train", "--data",
-               str(workdir / "ds.mrnd"), "--out", out, "--iters", "6"])
-    assert rc == 0
-    rows = open(os.path.join(out, "metrics.csv")).read().splitlines()
-    assert rows[-1].startswith("6,")  # flag overrode config's iters=10
+               str(workdir / "ds.mrnd"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_file_rejects_bad_version(tmp_path):
@@ -178,19 +201,30 @@ def test_eval_bad_checkpoint_header_exit_code(workdir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("header, message", [
-    ({}, "header is missing field 'seed'"),
-    ([], "header is not a JSON object"),
-    ("no-caption", "example 0 is missing field 'caption'"),
-], ids=["empty-object", "list", "no-caption"])
-def test_eval_bad_dataset_header_exit_code(workdir, tmp_path, capsys, header,
+def edit_first_example(header, **fields):
+    """header with fields replaced or, when None, deleted in example 0."""
+    example = header["examples"][0]
+    for name, value in fields.items():
+        if value is None:
+            del example[name]
+        else:
+            example[name] = value
+    return header
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: {}, "header is missing field 'seed'"),
+    (lambda h: [], "header is not a JSON object"),
+    (lambda h: edit_first_example(h, caption=None),
+     "example 0 is missing field 'caption'"),
+    (lambda h: edit_first_example(h, answer_type="Y/O"),
+     "example 0 field 'answer_type' is 'Y/O', not one of Y/N, Number, Other"),
+], ids=["empty-object", "list", "no-caption", "bad-answer-type"])
+def test_eval_bad_dataset_header_exit_code(workdir, tmp_path, capsys, edit,
                                            message):
     blob = (workdir / "ds.mrnd").read_bytes()
     (hlen,) = struct.unpack("<Q", blob[12:20])
-    if header == "no-caption":
-        header = json.loads(blob[20:20 + hlen])
-        del header["examples"][0]["caption"]
-    hb = json.dumps(header).encode()
+    hb = json.dumps(edit(json.loads(blob[20:20 + hlen]))).encode()
     bad = tmp_path / "bad.mrnd"
     bad.write_bytes(blob[:12] + struct.pack("<Q", len(hb)) + hb
                     + blob[20 + hlen:])

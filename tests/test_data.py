@@ -183,6 +183,14 @@ def drop_first_caption(header):
     return header
 
 
+def set_first(**fields):
+    """Edit that replaces fields of example 0."""
+    def edit(header):
+        header["examples"][0].update(fields)
+        return header
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda h: {}, "header is missing field 'seed'"),
     (lambda h: [], "header is not a JSON object"),
@@ -197,9 +205,17 @@ def drop_first_caption(header):
      "example 0 field 'answer_id' holds an id outside [0, 1)"),
     (lambda h: {**h, "examples": [{**h["examples"][0], "question": []}]},
      "example 0 field 'question' is empty"),
+    (set_first(answer_type="Y/O"), "example 0 field 'answer_type' is 'Y/O', "
+     "not one of Y/N, Number, Other"),
+    (set_first(humans=["yes"] * 9),
+     "example 0 field 'humans' holds 9 answers, expected 10"),
+    (set_first(candidates=[]), "example 0 field 'candidates' is empty"),
+    (set_first(split="dev"),
+     "example 0 field 'split' is 'dev', not one of train, val, test"),
 ], ids=["empty-object", "list", "no-caption", "bool-seed", "zero-dim",
         "mixed-vocab", "token-out-of-range", "answer-out-of-range",
-        "empty-question"])
+        "empty-question", "bad-answer-type", "nine-humans",
+        "no-candidates", "bad-split"])
 def test_bad_header_names_field(tmp_path, edit, message):
     good = os.path.join(tmp_path, "good.mrnd")
     save(generate(9, 3), good)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mrn import data as data_mod
-from mrn import kernels
+from mrn import kernels, training
 from mrn.autodiff import Tensor
 from mrn.encoders import CnnConfig
 from mrn.gradcheck import tiny_batch, tiny_model
@@ -93,12 +93,6 @@ def test_dropout_rate_zero_identity():
     assert out is x
 
 
-def test_dropout_eval_identity():
-    x = Tensor(np.ones((2, 3)))
-    out = dropout(x, 0.9, np.random.default_rng(0), phase="eval")
-    assert out is x
-
-
 def test_dropout_invalid_rate():
     with pytest.raises(ValueError):
         dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0))
@@ -178,7 +172,7 @@ def test_lr_zero_keeps_initial_params(toy_ds):
                       dropout_rate=0.0, eval_every=100)
     train(model, toy_ds.split("train"), cfg)
     fresh = small_model()
-    init_params(fresh.named_parameters(), cfg.init_range, cfg.seed)
+    init_params(fresh.named_parameters(), training.INIT_RANGE, cfg.seed)
     for name, t in fresh.named_parameters().items():
         assert np.array_equal(t.data, model.named_parameters()[name].data)
 
@@ -237,7 +231,7 @@ def test_freeze_cnn_keeps_weights(toy_ds):
     model = small_model()
     cfg = TrainConfig(iterations=6, batch_size=4, seed=13, freeze_cnn=True,
                       eval_every=100)
-    init_params(model.named_parameters(), cfg.init_range, cfg.seed)
+    init_params(model.named_parameters(), training.INIT_RANGE, cfg.seed)
     before = {k: t.data.copy() for k, t in model.cnn.params.items()}
     train(model, toy_ds.split("train"), cfg, initialize=False)
     for name, t in model.cnn.params.items():

@@ -10,12 +10,12 @@ from mrn import kernels, visualization
 from mrn.autodiff import Tensor
 from mrn.encoders import cnn_forward
 from mrn.gradcheck import tiny_model
-from mrn.model import VARIANTS, ModelDims, VariantSpec, LearningBlock, \
-    joint_residual, visual_embedding
+from mrn.model import VARIANTS, LearningBlock, joint_residual, \
+    visual_embedding
 from mrn.training import init_params
-from mrn.visualization import AttentionHeatmap, UnsupportedVariantError, \
-    attention_effect_loss, attention_gradient, attention_gradient_for, \
-    overlay_image, render_heatmap, visualize_sequence, write_pgm, write_ppm
+from mrn.visualization import attention_effect_loss, attention_gradient, \
+    attention_gradient_for, overlay_image, render_heatmap, \
+    visualize_sequence, write_pgm, write_ppm
 
 
 def small_block(seed=0, d_in=4, d_v=5, d_joint=5):
@@ -69,14 +69,6 @@ def test_loss_scalar_oracle():
     expect = 0.5 * sum((vis[i] - f[i]) ** 2 for i in range(5))
     assert attention_effect_loss(q, v, blk).item() == \
         pytest.approx(expect, rel=1e-14)
-
-
-def test_unsupported_variant_rejected():
-    spec = VariantSpec("x", 1, 0, "linear")
-    blk = LearningBlock.__new__(LearningBlock)
-    blk.spec = spec
-    with pytest.raises(UnsupportedVariantError):
-        attention_effect_loss(None, None, blk)
 
 
 # ---------------------------------------------------------------------------
