@@ -3,7 +3,11 @@
 Micrograd-style design: every op builds a node holding its parents and a
 closure ``_backward(g)`` that pushes the output gradient g back to them.
 ``backward()`` walks the graph once in reverse topological order, passing
-each node its own ``.grad``. Gradients accumulate additively across fan-out.
+each node its own ``.grad``. Gradients accumulate additively across fan-out:
+a tensor keeps its first contribution as given and adds later ones into it
+in place. So a backward hands each parent either a fresh array or its own
+output's gradient (or a view of it), which the walk has finished with, and
+never one array to two parents.
 
 A closure captures its parents and arrays, never its own output node, so a
 graph holds no reference cycle: it is freed by reference counting as soon
@@ -59,8 +63,9 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g
+        else:
+            self.grad += g
 
     def backward(self):
         """Populate .grad of every requires_grad ancestor of this scalar."""
@@ -73,6 +78,10 @@ class Tensor:
         while stack:
             node, done = stack.pop()
             if done:
+                if node._parents:
+                    # an interior gradient is this walk's alone; a second
+                    # backward through the graph must not add it in again
+                    node.grad = None
                 topo.append(node)
                 continue
             if id(node) in seen:
@@ -105,7 +114,7 @@ def _check_elementwise(a, b, opname):
 
 def _accum_maybe_scalar(t, g):
     # scalar operands collect the sum of the broadcast gradient
-    t._accum(g if t.ndim == g.ndim else g.sum())
+    t._accum(g if t.ndim == g.ndim else np.asarray(g.sum()))
 
 
 def add(a, b):
@@ -116,7 +125,8 @@ def add(a, b):
         if a.requires_grad:
             _accum_maybe_scalar(a, g)
         if b.requires_grad:
-            _accum_maybe_scalar(b, g)
+            # a may keep g and add into it later: b gets its own array
+            _accum_maybe_scalar(b, g.copy() if a.requires_grad else g)
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -152,7 +162,10 @@ def tanh(a):
     out = Tensor(y, _parents=(a,))
 
     def _bw(g):
-        a._accum(g * (1.0 - y * y))
+        d = y * y
+        np.subtract(1.0, d, out=d)
+        d *= g
+        a._accum(d)
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -299,10 +312,12 @@ def conv2d(x, w, b=None, padding=1):
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: shapes {x.shape} and {w.shape}")
     pad = padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    bsz, c, h, wd = x.shape
+    xp = np.zeros((bsz, c, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + wd] = x.data
     y = kernels.conv2d_forward(xp, w.data)
     if b is not None:
-        y = y + b.data[None, :, None, None]
+        y += b.data[None, :, None, None]   # y is the kernel's fresh output
     parents = (x, w) if b is None else (x, w, b)
     out = Tensor(y, _parents=parents)
 
@@ -310,7 +325,6 @@ def conv2d(x, w, b=None, padding=1):
         gxp, gw = kernels.conv2d_backward(xp, w.data, g, x.requires_grad,
                                           w.requires_grad)
         if x.requires_grad:
-            h, wd = x.shape[2], x.shape[3]
             x._accum(gxp[:, :, pad:pad + h, pad:pad + wd])
         if w.requires_grad:
             w._accum(gw)
@@ -326,7 +340,10 @@ def avgpool2d(x, k=2):
     if h % k or w % k:
         raise ShapeError(f"avgpool2d: {h}x{w} not divisible by {k}")
     taps = [(i, j) for i in range(k) for j in range(k)]
-    y = sum(x.data[:, :, i::k, j::k] for i, j in taps) / (k * k)
+    y = x.data[:, :, 0::k, 0::k].copy()
+    for i, j in taps[1:]:
+        y += x.data[:, :, i::k, j::k]
+    y /= k * k
     out = Tensor(y, _parents=(x,))
 
     def _bw(g):

@@ -288,10 +288,8 @@ COMMANDS = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval,
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            args = _parse_with_config(parser, args, argv)
+        args = _parse_with_config(parser, argv)
         return COMMANDS[args.command](args)
     except (ValidationError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -304,25 +302,46 @@ def main(argv=None):
         return 3
 
 
-def _parse_with_config(parser, args, argv):
-    """argv parsed again with the config file's values as defaults of the
-    chosen subcommand's parser, so that flags still win.
+def _parse_with_config(parser, argv):
+    """argv parsed with the --config file's values, if one is named, as
+    defaults of the chosen subcommand's parser, so that flags still win.
 
-    argparse converts a string default with its option's type; an on/off
-    flag takes true or false. A key that is not an option of the
-    subcommand raises ValidationError naming the file and the key.
+    A value counts as given, so a required flag may come from the file.
+    Each value is converted with its option's type and checked against its
+    choices; an on/off flag takes true or false. A key that is not an
+    option of the subcommand, or a value its option rejects, raises
+    ValidationError naming the file and the key.
     """
-    sp = parser.subcommands[args.command]
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    sp = parser.subcommands.get(rest[0]) if known.config and rest else None
+    if sp is None:
+        return parser.parse_args(argv)
+    path, command = known.config, rest[0]
+    options = {a.dest: a for a in sp._actions if a.dest != "help"}
     defaults = {}
-    for key, value in load_config_file(args.config).items():
-        if key not in vars(args) or key in ("config", "command"):
-            raise ValidationError(f"{args.config}: {key!r} is not an option "
-                                  f"of mrn {args.command}")
-        if isinstance(sp.get_default(key), bool):
+    for key, value in load_config_file(path).items():
+        action = options.get(key)
+        if action is None:
+            raise ValidationError(f"{path}: {key!r} is not an option "
+                                  f"of mrn {command}")
+        if isinstance(action.default, bool):
             if value.lower() not in ("true", "false"):
-                raise ValidationError(f"{args.config}: {key!r} must be true "
+                raise ValidationError(f"{path}: {key!r} must be true "
                                       f"or false, got {value!r}")
             value = value.lower() == "true"
+        elif action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: {key!r} must be of type "
+                    f"{action.type.__name__}, got {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValidationError(f"{path}: {key!r} must be one of "
+                                  f"{sorted(action.choices)}, got {value!r}")
+        action.required = False
         defaults[key] = value
     sp.set_defaults(**defaults)
     return parser.parse_args(argv)

@@ -1,10 +1,11 @@
 """Question and visual encoders.
 
 The question encoder is a single-layer GRU (Cho et al. gating) over learned
-word embeddings, read out at each sequence's true last token. Two batch
-strategies share one step function: a naive path that runs every padded
-position under a write mask, and a TrimZero path that sorts rows by length
-and only steps the still-active prefix at each time step.
+word embeddings, read out at each sequence's true last token. Each time
+step is one tape node with a hand-written backward. Two batch strategies
+share that step function: a naive path that runs every padded position
+under a write mask, and a TrimZero path that sorts rows by length and only
+steps the still-active prefix at each time step.
 
 The visual encoder is a small trainable CNN: two padded 3x3 convolutions
 with tanh and stride-2 average pooling, then a fully-connected map to the
@@ -19,6 +20,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 PAD_ID = 0
+# GruEncoder.step's parameters, in the order its tape node lists them
+GATE_PARAMS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_n", "u_n", "b_n")
 
 
 @dataclass
@@ -35,9 +38,10 @@ class QuestionBatch:
         maxlen = self.tokens.shape[1]
         if np.any(self.lengths < 1) or np.any(self.lengths > maxlen):
             raise ValueError("lengths must lie in [1, maxlen]")
-        for i, n in enumerate(self.lengths):
-            if np.any(self.tokens[i, n:] != PAD_ID):
-                raise ValueError(f"row {i}: non-pad token past stated length")
+        past = np.arange(maxlen) >= self.lengths[:, None]
+        bad = np.flatnonzero((past & (self.tokens != PAD_ID)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: non-pad token past stated length")
 
     @classmethod
     def pad(cls, questions):
@@ -71,13 +75,43 @@ class GruEncoder:
         }
 
     def step(self, x, h):
-        """One GRU step: h' = z * h + (1 - z) * n."""
-        p = self.params
-        zg = ad.sigmoid(ad.add(ad.linear(x, p["w_z"], p["b_z"]), ad.matmul(h, p["u_z"])))
-        rg = ad.sigmoid(ad.add(ad.linear(x, p["w_r"], p["b_r"]), ad.matmul(h, p["u_r"])))
-        n = ad.tanh(ad.add(ad.linear(x, p["w_n"], p["b_n"]),
-                           ad.matmul(ad.mul(rg, h), p["u_n"])))
-        return ad.add(ad.mul(zg, h), ad.mul(ad.sub(Tensor(1.0), zg), n))
+        """One GRU step, h' = z * h + (1 - z) * n, as one tape node.
+
+        The forward runs the ops of the composed form (sigmoid gates z and
+        r, n = tanh(x W_n + b_n + (r * h) U_n)) in its order, so h' is the
+        same to the bit; the backward sends the gradient to x, h and each
+        gate parameter that requires one.
+        """
+        params = tuple(self.params[k] for k in GATE_PARAMS)
+        w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n = (t.data for t in params)
+        xd, hd = x.data, h.data
+        z = 1.0 / (1.0 + np.exp(-((xd @ w_z + b_z) + hd @ u_z)))
+        r = 1.0 / (1.0 + np.exp(-((xd @ w_r + b_r) + hd @ u_r)))
+        rh = r * hd
+        n = np.tanh((xd @ w_n + b_n) + rh @ u_n)
+        zc = 1.0 - z
+        out = Tensor(z * hd + zc * n, _parents=(x, h) + params)
+
+        def _bw(g):
+            # gradients at the pre-activations of z, r and n
+            az = g * (hd - n) * z * zc
+            an = g * zc * (1.0 - n * n)
+            grh = an @ u_n.T
+            ar = grh * hd * r * (1.0 - r)
+            if x.requires_grad:
+                x._accum(az @ w_z.T + ar @ w_r.T + an @ w_n.T)
+            if h.requires_grad:
+                h._accum(g * z + grh * r + az @ u_z.T + ar @ u_r.T)
+            for i, (a, h_in) in enumerate(((az, hd), (ar, hd), (an, rh))):
+                w, u, b = params[3 * i:3 * i + 3]
+                if w.requires_grad:
+                    w._accum(xd.T @ a)
+                if u.requires_grad:
+                    u._accum(h_in.T @ a)
+                if b.requires_grad:
+                    b._accum(a.sum(axis=0))
+        out._backward = _bw if out.requires_grad else None
+        return out
 
     def embed(self, token_ids):
         ids = np.asarray(token_ids, dtype=np.int64)

@@ -1,6 +1,7 @@
 """VQA evaluation protocol: consensus metric, answer types, protocols,
 candidate masking, caption postprocessing."""
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,12 +46,19 @@ def multiple_choice_mask(probs, candidates):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _other_answers(vocab):
+    """(id, normalized answer) of every Other-type answer of a vocab tuple."""
+    return tuple((i, normalize_answer(ans)) for i, ans in enumerate(vocab)
+                 if classify_answer_type(ans) == "Other")
+
+
 def caption_postprocess(pre_softmax, caption, vocab):
     """+1 bump for non-number, non-yes/no answers occurring as caption tokens."""
     tokens = set(normalize_answer(caption).split())
     out = np.array(pre_softmax, dtype=np.float64, copy=True)
-    for i, ans in enumerate(vocab):
-        if classify_answer_type(ans) == "Other" and normalize_answer(ans) in tokens:
+    for i, ans in _other_answers(tuple(vocab)):
+        if ans in tokens:
             out[i] += 1.0
     return out
 

@@ -136,6 +136,26 @@ def test_fanout_accumulates():
     assert x.grad.tolist() == [5.0]
 
 
+def test_add_gives_each_parent_its_own_gradient():
+    # add hands the same g to both parents; a later contribution to one
+    # must not show up in the other
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    ad.tsum(ad.add(ad.add(a, b), a)).backward()
+    assert a.grad.tolist() == [2.0, 2.0]
+    assert b.grad.tolist() == [1.0, 1.0]
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_second_backward_adds_one_more_gradient():
+    # leaves accumulate across backward calls; interior nodes start afresh
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = ad.tsum(ad.mul(ad.reshape(x, (2, 1)), Tensor([[3.0], [4.0]])))
+    y.backward()
+    y.backward()
+    assert x.grad.tolist() == [6.0, 8.0]
+
+
 def test_unreachable_tensor_has_no_grad():
     x = Tensor([1.0], requires_grad=True)
     y = Tensor([1.0], requires_grad=True)

@@ -106,7 +106,10 @@ def test_config_file_defaults_and_flag_override(workdir, tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("protocol=oe", "'protocol' is not an option of mrn train"),
     ("freeze_cnn=maybe", "'freeze_cnn' must be true or false, got 'maybe'"),
-], ids=["unknown-key", "bad-switch"])
+    ("batch=abc", "'batch' must be of type int, got 'abc'"),
+    ("variant=zz", "'variant' must be one of ['a', 'b', 'c', 'd', 'e', "
+                   "'mn'], got 'zz'"),
+], ids=["unknown-key", "bad-switch", "bad-int", "bad-choice"])
 def test_config_file_bad_key_exit_code(workdir, tmp_path, capsys, line,
                                        message):
     cfg = tmp_path / "run.cfg"
@@ -119,6 +122,22 @@ def test_config_file_bad_key_exit_code(workdir, tmp_path, capsys, line,
     assert f"{cfg}: {message}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_config_file_supplies_required_data(workdir, tmp_path):
+    cfg = tmp_path / "data.cfg"
+    cfg.write_text(f"data={workdir / 'ds.mrnd'}\n")
+    out = str(tmp_path / "run")
+    # train and eval both require --data; the file's value counts as given
+    args = train_args(workdir, out)
+    del args[1:3]   # "--data", its path
+    assert main(["--config", str(cfg), *args]) == 0
+    eout = tmp_path / "eval"
+    rc = main(["--config", str(cfg), "eval", "--checkpoint",
+               os.path.join(out, "model.ckpt"), "--out", str(eout),
+               "--split", "val"])
+    assert rc == 0
+    assert (eout / "report.csv").exists()
 
 
 def test_config_file_rejects_bad_version(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from mrn import autodiff as ad
 from mrn.autodiff import Tensor
-from mrn.encoders import CnnConfig, GruEncoder, QuestionBatch, StepCounter, \
-    ToyCnn, cnn_forward, gru_forward, gru_forward_trimzero
+from mrn.encoders import GATE_PARAMS, CnnConfig, GruEncoder, QuestionBatch, \
+    StepCounter, ToyCnn, cnn_forward, gru_forward, gru_forward_trimzero
 from mrn.gradcheck import check_tensor_grad
 from mrn.training import init_params
 
@@ -32,6 +32,12 @@ def test_batch_invariants_enforced():
         QuestionBatch(np.array([[1, 2, 3]]), np.array([4]))   # length > maxlen
     with pytest.raises(ValueError):
         QuestionBatch(np.array([[1, 2, 3]]), np.array([2]))   # non-pad tail
+
+
+def test_batch_error_names_first_bad_row():
+    tokens = np.array([[1, 2, 0], [3, 0, 4], [5, 6, 7]])
+    with pytest.raises(ValueError, match="^row 1: non-pad token"):
+        QuestionBatch(tokens, np.array([2, 1, 1]))
 
 
 def test_pad_right_pads_to_the_longest():
@@ -114,6 +120,95 @@ def test_trimzero_equivalence_100_random_batches():
         assert c2.row_steps == int(batch.lengths.sum())
         if np.any(batch.lengths < batch.tokens.shape[1]):
             assert c2.row_steps < c1.row_steps
+
+
+def composed_step(enc, x, h):
+    """The GRU step written as separate autodiff ops: the reference."""
+    p = enc.params
+    zg = ad.sigmoid(ad.add(ad.linear(x, p["w_z"], p["b_z"]),
+                           ad.matmul(h, p["u_z"])))
+    rg = ad.sigmoid(ad.add(ad.linear(x, p["w_r"], p["b_r"]),
+                           ad.matmul(h, p["u_r"])))
+    n = ad.tanh(ad.add(ad.linear(x, p["w_n"], p["b_n"]),
+                       ad.matmul(ad.mul(rg, h), p["u_n"])))
+    return ad.add(ad.mul(zg, h), ad.mul(ad.sub(Tensor(1.0), zg), n))
+
+
+def trimzero_step_loss(step, enc, x, h, weights):
+    """Weighted sum of h after one step of its first len(x) rows, as
+    gru_forward_trimzero steps the active prefix and carries the rest."""
+    n_active = x.shape[0]
+    h_new = step(enc, x, ad.take_rows(h, slice(0, n_active)))
+    h_next = ad.concat_rows([h_new, ad.take_rows(h, slice(n_active,
+                                                          h.shape[0]))])
+    return ad.tsum(ad.mul(h_next, Tensor(weights)))
+
+
+def step_inputs(enc, seed, bsz=5, n_active=3):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n_active, enc.d_emb)),
+            rng.standard_normal((bsz, enc.d_hidden)),
+            rng.standard_normal((bsz, enc.d_hidden)))
+
+
+def test_step_matches_composed_ops():
+    enc = make_encoder(seed=10)
+    x0, h0, w0 = step_inputs(enc, 11)
+    grads = []
+    for step in (GruEncoder.step, composed_step):
+        x = Tensor(x0, requires_grad=True)
+        h = Tensor(h0, requires_grad=True)
+        for t in enc.params.values():
+            t.zero_grad()
+        loss = trimzero_step_loss(step, enc, x, h, w0)
+        loss.backward()
+        grads.append((step(enc, x, ad.take_rows(h, slice(0, 3))).data,
+                      x.grad, h.grad,
+                      [enc.params[k].grad for k in GATE_PARAMS]))
+    (y, gx, gh, gp), (y_ref, gx_ref, gh_ref, gp_ref) = grads
+    assert np.array_equal(y, y_ref)   # same ops in the same order
+    assert np.max(np.abs(gx - gx_ref)) < 1e-12
+    assert np.max(np.abs(gh - gh_ref)) < 1e-12
+    for g, g_ref in zip(gp, gp_ref):
+        assert np.max(np.abs(g - g_ref)) < 1e-12
+
+
+def test_step_gradients_match_finite_differences():
+    enc = make_encoder(seed=12)
+    x0, h0, w0 = step_inputs(enc, 13)
+
+    def loss(x, h):
+        return trimzero_step_loss(GruEncoder.step, enc, x, h, w0)
+
+    assert check_tensor_grad(lambda t: loss(t, Tensor(h0)), x0) < 1e-6
+    assert check_tensor_grad(lambda t: loss(Tensor(x0), t), h0) < 1e-6
+    for name in GATE_PARAMS:
+        param = enc.params[name]
+
+        def with_param(t):
+            enc.params[name] = t
+            return loss(Tensor(x0), Tensor(h0))
+        try:
+            err = check_tensor_grad(with_param, param.data)
+        finally:
+            enc.params[name] = param
+        assert err < 1e-6, name
+
+
+def test_step_skips_frozen_parameter_gradients():
+    enc = make_encoder(seed=14)
+    x0, h0, w0 = step_inputs(enc, 15)
+    grads = []
+    for freeze in (False, True):
+        if freeze:
+            enc.params = {k: t.detach() for k, t in enc.params.items()}
+        x = Tensor(x0, requires_grad=True)
+        h = Tensor(h0, requires_grad=True)
+        trimzero_step_loss(GruEncoder.step, enc, x, h, w0).backward()
+        grads.append((x.grad, h.grad))
+    assert all(enc.params[k].grad is None for k in GATE_PARAMS)
+    assert np.array_equal(grads[0][0], grads[1][0])
+    assert np.array_equal(grads[0][1], grads[1][1])
 
 
 def test_gate_ranges():

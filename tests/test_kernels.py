@@ -30,6 +30,23 @@ def test_forward_matches_direct_sum():
 
 
 @pytest.mark.parametrize("bsz,c,o", LAYERS)
+def test_forward_matches_direct_sum_per_layer(bsz, c, o):
+    rng = np.random.default_rng(10 + c)
+    xp = rng.standard_normal((bsz, c, 7, 6))
+    w = rng.standard_normal((o, c, 3, 3))
+    y = kernels.conv2d_forward(xp, w)
+    expect = np.zeros((bsz, o, 5, 4))
+    for b in range(bsz):
+        for k in range(o):
+            for i in range(5):
+                for j in range(4):
+                    expect[b, k, i, j] = np.sum(xp[b, :, i:i + 3, j:j + 3]
+                                                * w[k])
+    assert y.shape == expect.shape
+    assert rel(y, expect) < 1e-12
+
+
+@pytest.mark.parametrize("bsz,c,o", LAYERS)
 def test_backward_matches_direct_sums(bsz, c, o):
     rng = np.random.default_rng(c)
     xp = rng.standard_normal((bsz, c, 7, 6))
@@ -45,6 +62,28 @@ def test_backward_matches_direct_sums(bsz, c, o):
                     expect_gx[b, :, i:i + 3, j:j + 3] += gy[b, k, i, j] * w[k]
                     expect_gw[k] += gy[b, k, i, j] * xp[b, :, i:i + 3, j:j + 3]
     assert rel(gxp, expect_gx) < 1e-12
+    assert rel(gw, expect_gw) < 1e-12
+
+
+def test_batch_spanning_im2col_buffers_matches_direct_sums():
+    # one full buffer of examples and a partial one
+    bsz = kernels.IM2COL_EXAMPLES + 3
+    rng = np.random.default_rng(20)
+    xp = rng.standard_normal((bsz, 3, 6, 5))
+    w = rng.standard_normal((4, 3, 3, 3))
+    gy = rng.standard_normal((bsz, 4, 4, 3))
+    y = kernels.conv2d_forward(xp, w)
+    _, gw = kernels.conv2d_backward(xp, w, gy, need_gx=False)
+    expect_y = np.zeros_like(y)
+    expect_gw = np.zeros_like(w)
+    for b in range(bsz):
+        for k in range(4):
+            for i in range(4):
+                for j in range(3):
+                    win = xp[b, :, i:i + 3, j:j + 3]
+                    expect_y[b, k, i, j] = np.sum(win * w[k])
+                    expect_gw[k] += gy[b, k, i, j] * win
+    assert rel(y, expect_y) < 1e-12
     assert rel(gw, expect_gw) < 1e-12
 
 
