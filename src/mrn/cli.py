@@ -171,9 +171,14 @@ def cmd_train(args):
 def _load_model(args, ds):
     """The checkpoint's model, checked against the dataset it will read."""
     model = load_checkpoint(args.checkpoint)
-    for what, have, want in (
-            ("vocab_size", model.vocab_size, len(ds.question_vocab)),
-            ("n_answers", model.dims.n_answers, len(ds.answer_vocab))):
+    checks = [("vocab_size", model.vocab_size, len(ds.question_vocab)),
+              ("n_answers", model.dims.n_answers, len(ds.answer_vocab))]
+    if ds.examples:
+        c = model.cnn.config
+        checks.append(("image shape",
+                       (c.in_channels, c.image_size, c.image_size),
+                       ds.examples[0].image.shape))
+    for what, have, want in checks:
         if have != want:
             raise ValidationError(
                 f"checkpoint {args.checkpoint} has {what} {have} but dataset "

@@ -365,18 +365,26 @@ def load(path):
         shape = tuple(header["image_shape"])
         nbytes = math.prod(shape) * 8
         examples = []
-        for meta in header["examples"]:
-            buf = _read_exact(f, nbytes, size, "image", path)
+        for i, meta in enumerate(header["examples"]):
+            offset = f.tell()
+            image = np.frombuffer(_read_exact(f, nbytes, size, "image", path))
+            if not np.isfinite(image).all():
+                raise DatasetFormatError(f"example {i} image at byte {offset} "
+                                         f"holds a non-finite pixel in {path}")
             scene = Scene([SceneObject(r, c, s, col)
                            for r, c, s, col in meta["scene"]])
             examples.append(ToyVqaExample(
-                image=np.frombuffer(buf).reshape(shape).copy(),
+                image=image.reshape(shape).copy(),
                 question=list(meta["question"]),
                 question_text=meta["question_text"], answer=meta["answer"],
                 answer_id=meta["answer_id"], answer_type=meta["answer_type"],
                 humans=list(meta["humans"]),
                 candidates=list(meta["candidates"]), caption=meta["caption"],
                 split=meta["split"], scene=scene))
+        end = f.tell()
+        if end != size:
+            raise DatasetFormatError(f"{size - end} bytes after the last "
+                                     f"image at byte {end} in {path}")
     return Dataset(seed=header["seed"], examples=examples,
                    question_vocab=list(header["question_vocab"]),
                    answer_vocab=list(header["answer_vocab"]))

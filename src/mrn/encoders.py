@@ -204,9 +204,10 @@ class ToyCnn:
 def cnn_forward(image, cnn, freeze=False):
     """Image (C,H,W) or (B,C,H,W) -> features (B, d_out).
 
-    freeze detaches the weights so no gradient reaches them, and the conv
-    backward skips the weight-gradient work; the input image still
-    receives gradients (needed by the visualization path).
+    freeze reads the weights through constant tensors that share their
+    arrays (no copy), so no gradient reaches them and the conv backward
+    skips the weight-gradient work; the input image still receives
+    gradients (needed by the visualization path).
     """
     c = cnn.config
     x = image if isinstance(image, Tensor) else Tensor(image)
@@ -215,7 +216,7 @@ def cnn_forward(image, cnn, freeze=False):
     if x.ndim != 4 or x.shape[1:] != (c.in_channels, c.image_size, c.image_size):
         raise ad.ShapeError(f"cnn_forward: image shape {x.shape} does not match "
                             f"config {(c.in_channels, c.image_size, c.image_size)}")
-    p = {k: (v.detach() if freeze else v) for k, v in cnn.params.items()}
+    p = {k: (Tensor(v.data) if freeze else v) for k, v in cnn.params.items()}
     pad = c.kernel // 2
     y = ad.tanh(ad.conv2d(x, p["conv1_w"], p["conv1_b"], padding=pad))
     y = ad.avgpool2d(y, 2)

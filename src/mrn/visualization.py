@@ -9,7 +9,14 @@ thresholded at mean + population std to produce the binary attention mask.
 One graph per example gives every block's gradient: the CNN runs once on
 L copies of the image, and block l's loss reads row l-1 of its features.
 The CNN never mixes rows, so one backward leaves block l's gradient in row
-l-1. CNN and blocks run on detached weights, so no parameter gets a grad.
+l-1. CNN and blocks read their weights through constant tensors that share
+the parameters' arrays, so no parameter gets a grad and nothing is copied.
+
+Output files are rewritten in place: opened without truncation, written in
+full, then cut to the new length. Truncating a file to zero before writing
+it again makes some file systems (ext4's auto_da_alloc) free its blocks and
+start writeback at every close, which cost more than the compute. A run
+killed mid-write may leave a file holding old and new bytes mixed.
 """
 
 import copy
@@ -25,13 +32,17 @@ from . import autodiff as ad
 from . import encoders
 from .autodiff import Tensor
 from .encoders import QuestionBatch, cnn_forward
-from .model import block_forward, joint_residual, visual_embedding
+from .model import block_forward, question_mask, visual_embedding
 
 
 def attention_effect_loss(q_in, v, block):
-    """0.5 * sum((V - F)^2) with F detached from the graph."""
+    """0.5 * sum((V - F)^2) with F = mask * V held constant.
+
+    V is computed once; F multiplies its values by the question mask's, so
+    F carries no graph and equals joint_residual's forward bit for bit.
+    """
     vis = visual_embedding(v, block)
-    f_const = joint_residual(q_in, v, block).detach()
+    f_const = Tensor(question_mask(q_in, block).data * vis.data)
     diff = ad.sub(vis, f_const)
     return ad.mul(Tensor(0.5), ad.tsum(ad.mul(diff, diff)))
 
@@ -54,7 +65,7 @@ def attention_gradient_for(image, q, model):
     """
     blocks = [copy.copy(blk) for blk in model.mrn.blocks]
     for blk in blocks:
-        blk.params = {k: t.detach() for k, t in blk.params.items()}
+        blk.params = {k: Tensor(t.data) for k, t in blk.params.items()}
     leaf = Tensor(np.stack([image] * len(blocks)), requires_grad=True)
     v = cnn_forward(leaf, model.cnn, freeze=True)
     v_const = Tensor(v.data[:1])
@@ -95,7 +106,23 @@ def overlay_image(image, mask, dim=0.35):
 
 
 # ---------------------------------------------------------------------------
-# portable pixmap output
+# file output
+
+def _write_file(path, data):
+    """Make path hold exactly data, rewriting an existing file in place.
+
+    The file is opened without truncation: the old bytes are overwritten,
+    then any longer tail is cut off with ftruncate.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
 
 def write_pgm(path, gray):
     """Binary PGM (P5); input floats are max-normalized to 0..255."""
@@ -105,9 +132,7 @@ def write_pgm(path, gray):
         g = g / peak
     pix = np.clip(g * 255.0, 0, 255).astype(np.uint8)
     h, w = pix.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(pix.tobytes())
+    _write_file(path, f"P5\n{w} {h}\n255\n".encode() + pix.tobytes())
 
 
 def write_ppm(path, rgb):
@@ -115,9 +140,7 @@ def write_ppm(path, rgb):
     img = np.clip(np.asarray(rgb, dtype=np.float64), 0.0, 1.0)
     pix = (img * 255.0).round().astype(np.uint8).transpose(1, 2, 0)
     h, w, _ = pix.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(pix.tobytes())
+    _write_file(path, f"P6\n{w} {h}\n255\n".encode() + pix.tobytes())
 
 
 def visualize_sequence(example, model, out_dir):
@@ -150,6 +173,6 @@ def visualize_sequence(example, model, out_dir):
     write_ppm(comp_path, composite)
     manifest["composite"] = comp_path
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    _write_file(manifest_path,
+                json.dumps(manifest, indent=2, sort_keys=True).encode())
     return heatmaps, manifest_path

@@ -114,8 +114,12 @@ def load_checkpoint(path):
         for entry in header["params"]:
             name = entry["name"]
             t = params[name]
+            offset = f.tell()
             buf = _read_exact(f, t.size * 8, size, f"parameter {name}", path)
             t.data = np.frombuffer(buf).reshape(t.shape).copy()
+            if not np.isfinite(t.data).all():
+                raise ValueError(f"parameter {name} at offset {offset} holds "
+                                 f"a non-finite value: {path}")
     return model
 
 

@@ -299,11 +299,75 @@ def test_truncation_anywhere_is_a_typed_error(small_files, name, error, data):
     assert rc == 1 and str(path) in err
 
 
+@pytest.mark.parametrize("name", ["ds.mrnd", "m.ckpt"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_byte_flip_anywhere_is_a_typed_error_or_finite(small_files, name,
+                                                       data):
+    blob = bytearray((small_files / name).read_bytes())
+    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+    blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path = small_files / f"flip-{name}"
+    path.write_bytes(bytes(blob))
+    files = {"ds.mrnd": small_files / "ds.mrnd",
+             "m.ckpt": small_files / "m.ckpt", name: path}
+    if name.endswith(".mrnd"):
+        load, error = data_mod.load, data_mod.DatasetFormatError
+        numbers = lambda ds: [e.image for e in ds.examples]
+    else:
+        load, error = load_checkpoint, ValueError
+        numbers = lambda m: [t.data for t in m.named_parameters().values()]
+    try:
+        loaded = load(str(path))
+    except error as exc:
+        assert str(path) in str(exc)
+        loaded = None
+    else:
+        assert all(np.isfinite(a).all() for a in numbers(loaded))
+    rc, err = quiet_eval(files["ds.mrnd"], files["m.ckpt"],
+                         small_files / "out")
+    # a load that passed may still mismatch the other file: exit 1, named
+    assert (rc == 0 and loaded is not None) or \
+        (rc == 1 and str(path) in err), err
+
+
+@pytest.mark.parametrize("bad", ["checkpoint", "dataset"])
+@pytest.mark.parametrize("command", ["eval", "viz"])
+def test_non_finite_input_exit_code(workdir, tmp_path, capsys, command, bad):
+    ds = data_mod.load(str(workdir / "ds.mrnd"))
+    model = VqaModel(vocab_size=len(ds.question_vocab), d_emb=3,
+                     dims=ModelDims(d_q=4, d_v=5, d_joint=5, n_blocks=1,
+                                    n_answers=len(ds.answer_vocab)),
+                     cnn_config=CnnConfig(channels1=2, channels2=3, d_out=5))
+    data, ckpt = workdir / "ds.mrnd", tmp_path / "m.ckpt"
+    if bad == "checkpoint":
+        model.cnn.params["conv1_w"].data[0, 0, 1, 1] = np.inf
+        message = "parameter cnn.conv1_w at offset "
+        named = ckpt
+    else:
+        first_val = next(i for i, e in enumerate(ds.examples)
+                         if e.split == "val")
+        ds.examples[first_val].image[0, 3, 4] = np.nan
+        data = tmp_path / "nan.mrnd"
+        data_mod.save(ds, str(data))
+        message = f"example {first_val} image at byte "
+        named = data
+    save_checkpoint(model, str(ckpt))
+    rc = main([command, "--data", str(data), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "out"), "--split", "val"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and str(named) in err
+    assert "non-finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, mismatch, message", [
     ("eval", "vocab", "has vocab_size 6 but dataset"),
     ("viz", "vocab", "has vocab_size 6 but dataset"),
     ("eval", "answers", "has n_answers 3 but dataset"),
     ("viz", "answers", "has n_answers 3 but dataset"),
+    ("eval", "image", "has image shape (3, 33, 33) but dataset"),
+    ("viz", "image", "has image shape (3, 33, 33) but dataset"),
 ])
 def test_checkpoint_dataset_mismatch_exit_code(workdir, tmp_path, capsys,
                                                command, mismatch, message):
@@ -315,10 +379,16 @@ def test_checkpoint_dataset_mismatch_exit_code(workdir, tmp_path, capsys,
     if mismatch == "vocab":
         model = tiny_model()
         want = len(ds.question_vocab)
-    else:
+    elif mismatch == "answers":
         model = VqaModel(vocab_size=len(ds.question_vocab), dims=ModelDims(
             d_q=4, d_v=5, d_joint=5, n_answers=3, n_blocks=1))
         want = len(ds.answer_vocab)
+    else:
+        # 33 // 4 == 32 // 4: the parameter shapes fit 32x32 images too
+        model = VqaModel(vocab_size=len(ds.question_vocab), dims=ModelDims(
+            d_q=4, d_v=5, d_joint=5, n_answers=len(ds.answer_vocab),
+            n_blocks=1), cnn_config=CnnConfig(image_size=33, d_out=5))
+        want = (3, 32, 32)
     ckpt = str(tmp_path / "m.ckpt")
     save_checkpoint(model, ckpt)
     rc = main([command, "--data", str(workdir / "ds.mrnd"), "--checkpoint",

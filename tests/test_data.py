@@ -169,6 +169,32 @@ def test_truncated_file_parse_error(tmp_path):
         load(cut)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_pixel_names_example_and_offset(tmp_path, value):
+    ds = generate(9, 3)
+    ds.examples[1].image[2, 5, 7] = value
+    path = os.path.join(tmp_path, "ds.mrnd")
+    save(ds, path)
+    (hlen,) = struct.unpack("<Q", open(path, "rb").read()[12:20])
+    offset = 20 + hlen + ds.examples[0].image.nbytes
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value) == (f"example 1 image at byte {offset} holds a "
+                               f"non-finite pixel in {path}")
+
+
+def test_bytes_after_last_image_name_offset(tmp_path):
+    path = os.path.join(tmp_path, "ds.mrnd")
+    save(generate(9, 2), path)
+    end = os.path.getsize(path)
+    with open(path, "ab") as f:
+        f.write(b"\0" * 24)
+    with pytest.raises(DatasetFormatError) as info:
+        load(path)
+    assert str(info.value) == (f"24 bytes after the last image at byte {end} "
+                               f"in {path}")
+
+
 def with_header(src, dst, edit):
     """Copy the .mrnd file src to dst with its JSON header h set to edit(h)."""
     blob = open(src, "rb").read()

@@ -367,6 +367,22 @@ def test_checkpoint_truncated_names_offset(tmp_path, keep, message):
     assert path in str(info.value)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_checkpoint_non_finite_parameter_names_offset(tmp_path, value):
+    model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
+        d_q=4, d_v=5, d_joint=5, n_answers=4, n_blocks=1))
+    model.cnn.params["conv1_w"].data[0, 0, 1, 2] = value
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(model, path)
+    hlen = int.from_bytes(open(path, "rb").read()[8:16], "little")
+    # buffers follow the header in name order; cnn.conv1_b comes first
+    offset = 16 + hlen + 8 * model.cnn.params["conv1_b"].size
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (f"parameter cnn.conv1_w at offset {offset} "
+                               f"holds a non-finite value: {path}")
+
+
 @pytest.mark.parametrize("header", [b'{"voca', b"\xff\xfe"])
 def test_checkpoint_header_not_json(tmp_path, header):
     path = os.path.join(tmp_path, "bad.ckpt")

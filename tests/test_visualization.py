@@ -308,3 +308,94 @@ def test_visualize_sequence_asks_conv_for_no_weight_gradient(tmp_path, model,
     monkeypatch.setattr(kernels, "conv2d_backward", spy)
     visualize_sequence(example_like(model, seed=18), model, str(tmp_path))
     assert asked == [(True, False), (True, False)]
+
+
+# what visualize_sequence writes for a three-block model
+OUTPUT_FILES = ["manifest.json", "original.ppm", "composite.ppm"] + [
+    f"block{l}_{kind}" for l in (1, 2, 3)
+    for kind in ("saliency.pgm", "overlay.ppm")]
+
+
+def test_visualize_sequence_rewrites_files_without_truncating(tmp_path, model,
+                                                              monkeypatch):
+    opened = []
+    real = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((os.path.basename(path), flags))
+        return real(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    visualize_sequence(example_like(model, seed=19), model, str(tmp_path))
+    assert sorted(name for name, _ in opened) == sorted(OUTPUT_FILES)
+    assert not any(flags & os.O_TRUNC for _, flags in opened)
+
+
+def test_shorter_manifest_leaves_no_stale_tail(tmp_path, model):
+    out = str(tmp_path)
+    ex = example_like(model, seed=20)
+    ex.question_text = "what color is the " + "very " * 50 + "large circle"
+    visualize_sequence(ex, model, out)
+    ex.question_text = "q"
+    _, manifest_path = visualize_sequence(ex, model, out)
+    files = {l: {"saliency": os.path.join(out, f"block{l}_saliency.pgm"),
+                 "overlay": os.path.join(out, f"block{l}_overlay.ppm")}
+             for l in ("1", "2", "3")}
+    want = {"question": "q", "blocks": files,
+            "original": os.path.join(out, "original.ppm"),
+            "composite": os.path.join(out, "composite.ppm")}
+    with open(manifest_path, "rb") as f:
+        assert f.read() == json.dumps(want, indent=2, sort_keys=True).encode()
+
+
+def test_image_files_hold_header_and_pixels_only(tmp_path, model,
+                                                monkeypatch):
+    out = str(tmp_path)
+    ex = example_like(model, seed=21)
+    names = OUTPUT_FILES[1:]
+    for name in names:  # longer old contents must not survive the rewrite
+        with open(os.path.join(out, name), "wb") as f:
+            f.write(b"\xff" * 100_000)
+    real_write = os.write
+    # short writes, as a pipe or a signal may cause, must be continued
+    monkeypatch.setattr(os, "write",
+                        lambda fd, data: real_write(fd, data[:50]))
+    heatmaps, _ = visualize_sequence(ex, model, out)
+    monkeypatch.undo()
+
+    def ppm(rgb):
+        pix = (np.clip(rgb, 0, 1) * 255).round().astype(np.uint8)
+        _, h, w = pix.shape
+        return f"P6\n{w} {h}\n255\n".encode() + \
+            pix.transpose(1, 2, 0).tobytes()
+
+    overlays = [overlay_image(ex.image, hm.mask) for hm in heatmaps]
+    want = {"original.ppm": ppm(ex.image),
+            "composite.ppm": ppm(np.concatenate([ex.image] + overlays,
+                                                axis=2))}
+    for l, (hm, over) in enumerate(zip(heatmaps, overlays), start=1):
+        gray = np.clip(hm.saliency / hm.saliency.max() * 255, 0, 255)
+        h, w = gray.shape
+        want[f"block{l}_saliency.pgm"] = f"P5\n{w} {h}\n255\n".encode() + \
+            gray.astype(np.uint8).tobytes()
+        want[f"block{l}_overlay.ppm"] = ppm(over)
+    for name in names:
+        with open(os.path.join(out, name), "rb") as f:
+            assert f.read() == want[name], name
+
+
+def test_visual_embedding_once_per_block_loss(tmp_path, model, monkeypatch):
+    from mrn import model as model_mod
+    calls = []
+    real = model_mod.visual_embedding
+
+    def counted(v, block):
+        calls.append(block.index)
+        return real(v, block)
+
+    monkeypatch.setattr(model_mod, "visual_embedding", counted)
+    monkeypatch.setattr(visualization, "visual_embedding", counted)
+    visualize_sequence(example_like(model, seed=22), model, str(tmp_path))
+    # L block losses plus the L-1 block forwards that feed blocks 2..L
+    n_blocks = len(model.mrn.blocks)
+    assert len(calls) == 2 * n_blocks - 1
