@@ -119,6 +119,20 @@ def build_parser():
 # ---------------------------------------------------------------------------
 # commands
 
+def _write_csv(path, columns, rows):
+    """A header line, then one line per row dict: a float with six
+    decimals, a missing value empty, anything else as str."""
+    def cell(v):
+        if v is None:
+            return ""
+        return f"{v:.6f}" if isinstance(v, float) else str(v)
+
+    with open(path, "w") as f:
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(cell(row.get(c)) for c in columns) + "\n")
+
+
 def cmd_gen(args):
     os.makedirs(args.out, exist_ok=True)
     path = args.data or os.path.join(args.out, "dataset.mrnd")
@@ -159,7 +173,8 @@ def cmd_train(args):
     ckpt = os.path.join(args.out, "model.ckpt")
     save_checkpoint(model, ckpt)
     metrics = os.path.join(args.out, "metrics.csv")
-    training.write_metrics_csv(result.metrics, metrics)
+    _write_csv(metrics, ["iteration", "train_loss", "val_overall", "val_yn",
+                         "val_num", "val_other"], result.metrics)
     final = result.metrics[-1] if result.metrics else {}
     print(f"trained {args.variant}/L={args.blocks}: "
           f"final train_loss={final.get('train_loss', float('nan')):.4f} "
@@ -199,7 +214,12 @@ def cmd_eval(args):
                                    vocab=ds.answer_vocab)
                for proto in protocols]
     path = os.path.join(args.out, "report.csv")
-    evaluation.write_report_csv(reports, path)
+    nan = float("nan")
+    _write_csv(path, ["protocol", "all", "yn", "num", "other"], [
+        {"protocol": r.protocol, "all": r.overall,
+         "yn": r.per_type.get("Y/N", nan),
+         "num": r.per_type.get("Number", nan),
+         "other": r.per_type.get("Other", nan)} for r in reports])
     for r in reports:
         print(f"{r.protocol}: all={r.overall:.4f} " +
               " ".join(f"{t}={r.per_type.get(t, float('nan')):.4f}"
@@ -227,12 +247,7 @@ def cmd_ablate(args):
               f"params={row['params']:>8} all={row['all']:.4f}")
 
     path = os.path.join(args.out, "ablation.csv")
-    cols = ["variant", "blocks", "dim", "params", "all", "yn", "num", "other"]
-    with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(f"{row[c]:.6f}" if isinstance(row[c], float)
-                             else str(row[c]) for c in cols) + "\n")
+    _write_csv(path, list(rows[0]), rows)
     best = max(rows, key=lambda r: r["all"])
     print(f"best: {best['variant']} L={best['blocks']} all={best['all']:.4f}")
     print(f"ablation table: {path}")

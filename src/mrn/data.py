@@ -6,16 +6,23 @@ color naming) with answers in a ~20-word closed vocabulary. Each example
 carries ten consensus-noised "human" answers, an 18-candidate list that
 always contains the ground truth, and a truthful scene caption. Everything
 is a deterministic function of (seed, index).
+
+save and load use the container of ``container.py``: magic MRNDATA1 and a
+u32 version, a header holding the vocabularies, the image shape and every
+example's fields, then one float64 image per example. What is specific to
+datasets is checked here: the version, the header's fields and types, and
+each example's answer type, split, ten humans and ids within the
+vocabularies.
 """
 
 import hashlib
 import json
-import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import container
+from .container import FormatError, check_fields
 
 GRID = 4
 CELL = 8
@@ -40,10 +47,6 @@ ANSWER_ID = {a: i for i, a in enumerate(ANSWER_VOCAB)}
 QUESTION_WORDS = (["<pad>", "is", "there", "a", "how", "many", "what", "color",
                    "the"] + COLOR_NAMES + SHAPES + list(PLURALS.values()))
 WORD_ID = {w: i for i, w in enumerate(QUESTION_WORDS)}
-
-
-class DatasetFormatError(ValueError):
-    """Dataset file failed to parse; message carries the byte offset."""
 
 
 @dataclass
@@ -256,13 +259,8 @@ def save(dataset, path):
         "examples": [_example_meta(e) for e in dataset.examples],
         "image_shape": [3, IMAGE_SIZE, IMAGE_SIZE],
     }
-    hb = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(DATA_MAGIC)
-        f.write(struct.pack("<IQ", DATA_VERSION, len(hb)))
-        f.write(hb)
-        for e in dataset.examples:
-            f.write(np.ascontiguousarray(e.image).tobytes())
+    container.write(path, DATA_MAGIC + DATA_VERSION.to_bytes(4, "little"),
+                    header, [e.image for e in dataset.examples])
 
 
 # field -> JSON type; [kind] is a list whose items all have that type
@@ -274,35 +272,9 @@ _EXAMPLE_FIELDS = {"question": [int], "question_text": str, "answer": str,
                    "scene": [list]}
 
 
-def _check_fields(obj, fields, where, bad):
-    """Raise bad(problem) unless obj is a dict holding every field's type.
-
-    Types are compared exactly, as json.loads makes them, so true is not
-    an int.
-    """
-    if type(obj) is not dict:
-        raise bad(f"{where} is not a JSON object")
-    for name, kind in fields.items():
-        if name not in obj:
-            raise bad(f"{where} is missing field {name!r}")
-        value = obj[name]
-        if type(kind) is list:
-            ok = type(value) is list and set(map(type, value)) <= set(kind)
-        else:
-            ok = type(value) is kind
-        if not ok:
-            label = (f"list of {kind[0].__name__}" if type(kind) is list
-                     else kind.__name__)
-            raise bad(f"{where} field {name!r} should be {label}")
-
-
-def _check_header(header, offset, path):
-    """Check every header field load uses; DatasetFormatError names it."""
-    def bad(problem):
-        return DatasetFormatError(f"bad header at byte {offset}: {problem} "
-                                  f"in {path}")
-
-    _check_fields(header, _HEADER_FIELDS, "header", bad)
+def _check_header(header, bad):
+    """Check every header field load uses; bad(problem) names it."""
+    check_fields(header, _HEADER_FIELDS, "header", bad)
     if len(header["image_shape"]) != 3 or min(header["image_shape"]) < 1:
         raise bad(f"image_shape {header['image_shape']} is not 3 positive "
                   "ints")
@@ -310,7 +282,7 @@ def _check_header(header, offset, path):
     n_answers = len(header["answer_vocab"])
     answer_types = tuple(ANSWER_TYPE_BY_QTYPE.values())
     for i, meta in enumerate(header["examples"]):
-        _check_fields(meta, _EXAMPLE_FIELDS, f"example {i}", bad)
+        check_fields(meta, _EXAMPLE_FIELDS, f"example {i}", bad)
         for name in ("question", "candidates"):
             if not meta[name]:
                 raise bad(f"example {i} field {name!r} is empty")
@@ -333,58 +305,29 @@ def _check_header(header, offset, path):
                           f"[0, {n})")
 
 
-def _read_exact(f, n, size, what, path):
-    """n bytes from f, or DatasetFormatError naming what, offset and path."""
-    offset = f.tell()
-    if n > size - offset:
-        raise DatasetFormatError(f"truncated {what} at byte {offset}: needs "
-                                 f"{n} bytes, {size - offset} left in {path}")
-    return f.read(n)
-
-
 def load(path):
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        magic = f.read(len(DATA_MAGIC))
-        if magic != DATA_MAGIC:
-            raise DatasetFormatError(f"bad magic at byte 0 in {path}")
-        raw = _read_exact(f, 12, size, "header", path)
-        version, hlen = struct.unpack("<IQ", raw)
+        r = container.Reader(f, path)
+        r.magic(DATA_MAGIC)
+        version = int.from_bytes(r.read(4, "version"), "little")
         if version != DATA_VERSION:
-            raise DatasetFormatError(
-                f"unsupported version {version} at byte 8 in {path}")
-        offset = f.tell()
-        hb = _read_exact(f, hlen, size, "header", path)
-        try:
-            header = json.loads(hb)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            pos = getattr(exc, "pos", getattr(exc, "start", 0))
-            raise DatasetFormatError(f"bad header json at byte {offset + pos} "
-                                     f"in {path}") from exc
-        _check_header(header, offset, path)
+            raise FormatError(f"unsupported version {version} at byte 8 in "
+                              f"{path}")
+        header = r.header()
+        _check_header(header, r.bad_header)
         shape = tuple(header["image_shape"])
-        nbytes = math.prod(shape) * 8
         examples = []
         for i, meta in enumerate(header["examples"]):
-            offset = f.tell()
-            image = np.frombuffer(_read_exact(f, nbytes, size, "image", path))
-            if not np.isfinite(image).all():
-                raise DatasetFormatError(f"example {i} image at byte {offset} "
-                                         f"holds a non-finite pixel in {path}")
-            scene = Scene([SceneObject(r, c, s, col)
-                           for r, c, s, col in meta["scene"]])
+            image = r.floats(shape, f"example {i} image")
+            scene = Scene([SceneObject(*o) for o in meta["scene"]])
             examples.append(ToyVqaExample(
-                image=image.reshape(shape).copy(),
-                question=list(meta["question"]),
+                image=image, question=list(meta["question"]),
                 question_text=meta["question_text"], answer=meta["answer"],
                 answer_id=meta["answer_id"], answer_type=meta["answer_type"],
                 humans=list(meta["humans"]),
                 candidates=list(meta["candidates"]), caption=meta["caption"],
                 split=meta["split"], scene=scene))
-        end = f.tell()
-        if end != size:
-            raise DatasetFormatError(f"{size - end} bytes after the last "
-                                     f"image at byte {end} in {path}")
+        r.end("image")
     return Dataset(seed=header["seed"], examples=examples,
                    question_vocab=list(header["question_vocab"]),
                    answer_vocab=list(header["answer_vocab"]))

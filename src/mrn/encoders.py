@@ -123,15 +123,16 @@ class GruEncoder:
 def gru_forward(batch, enc, counter=None, input_dropout=None):
     """Hidden state at each row's true last token, naive masked scan.
 
-    input_dropout, when given, is a callable applied to the embedded tokens
-    of each step (the training loop passes a closure carrying rng + mode).
+    input_dropout(x, rows), when given, is applied to the embedded tokens x
+    of each step, whose rows are those batch rows (the training loop passes
+    a closure carrying rng + mode).
     """
     bsz, maxlen = batch.tokens.shape
     h = Tensor(np.zeros((bsz, enc.d_hidden)))
     for t in range(maxlen):
         x = enc.embed(batch.tokens[:, t])
         if input_dropout is not None:
-            x = input_dropout(x, t, np.arange(bsz))
+            x = input_dropout(x, np.arange(bsz))
         h_new = enc.step(x, h)
         active = (t < batch.lengths).astype(np.float64)
         m = Tensor(np.repeat(active[:, None], enc.d_hidden, axis=1))
@@ -160,7 +161,7 @@ def gru_forward_trimzero(batch, enc, counter=None, input_dropout=None):
             break
         x = enc.embed(tokens[:n_active, t])
         if input_dropout is not None:
-            x = input_dropout(x, t, order[:n_active])
+            x = input_dropout(x, order[:n_active])
         h_active = ad.take_rows(h, slice(0, n_active))
         h_new = enc.step(x, h_active)
         if n_active < bsz:

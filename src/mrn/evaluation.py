@@ -142,16 +142,3 @@ def evaluate(model, examples, protocol="oe", postprocess=False, vocab=None):
 def _default_vocab():
     from .data import ANSWER_VOCAB
     return ANSWER_VOCAB
-
-
-def write_report_csv(reports, path):
-    """CSV with one row per protocol: All / Y/N / Num. / Other columns."""
-    with open(path, "w") as f:
-        f.write("protocol,all,yn,num,other\n")
-        for r in reports:
-            f.write(",".join([
-                r.protocol, f"{r.overall:.6f}",
-                f"{r.per_type.get('Y/N', float('nan')):.6f}",
-                f"{r.per_type.get('Number', float('nan')):.6f}",
-                f"{r.per_type.get('Other', float('nan')):.6f}",
-            ]) + "\n")

@@ -66,64 +66,51 @@ class LearningBlock:
         self.index = index
         self.d_in = d_in
         self.d_joint = d_joint
-        self.use_bias = use_bias
         z = lambda *s: Tensor(np.zeros(s), requires_grad=True)
         p = {}
+
+        def dense(name, n_in):
+            # the map n_in -> d_joint: w_<name> and, with biases, b_<name>
+            p[f"w_{name}"] = z(n_in, d_joint)
+            if use_bias:
+                p[f"b_{name}"] = z(d_joint)
+
         if spec.shortcut == "linear" or (spec.shortcut == "identity_after_first"
                                          and index == 0):
-            p["w_qs"] = z(d_in, d_joint)
-            if use_bias:
-                p["b_qs"] = z(d_joint)
+            dense("qs", d_in)
         elif spec.shortcut == "identity_after_first" and d_in != d_joint:
             raise ConfigError(
                 f"variant {spec.tag}: identity shortcut at block {index + 1} "
                 f"needs input dim {d_in} == joint dim {d_joint}")
         if spec.question_depth == 1:
-            p["w_q"] = z(d_in, d_joint)
-            if use_bias:
-                p["b_q"] = z(d_joint)
+            dense("q", d_in)
         else:
-            p["w_q1"] = z(d_in, d_joint)
-            p["w_q2"] = z(d_joint, d_joint)
-            if use_bias:
-                p["b_q1"] = z(d_joint)
-                p["b_q2"] = z(d_joint)
-        if spec.visual_depth == 1:
-            p["w_v1"] = z(d_v, d_joint)
-            if use_bias:
-                p["b_v1"] = z(d_joint)
-        else:
-            p["w_v1"] = z(d_v, d_joint)
-            p["w_v2"] = z(d_joint, d_joint)
-            if use_bias:
-                p["b_v1"] = z(d_joint)
-                p["b_v2"] = z(d_joint)
+            dense("q1", d_in)
+            dense("q2", d_joint)
+        dense("v1", d_v)
+        if spec.visual_depth == 2:
+            dense("v2", d_joint)
         if spec.visual_shortcut and index == 0:
-            p["w_vs"] = z(d_v, d_joint)
-            if use_bias:
-                p["b_vs"] = z(d_joint)
+            dense("vs", d_v)
         self.params = p
-
-    def _bias(self, name):
-        return self.params.get(name) if self.use_bias else None
 
 
 def question_mask(q_in, block):
     """tanh-embedded question path (one or two layers)."""
     p = block.params
     if block.spec.question_depth == 1:
-        return ad.tanh(ad.linear(q_in, p["w_q"], block._bias("b_q")))
-    h = ad.tanh(ad.linear(q_in, p["w_q1"], block._bias("b_q1")))
-    return ad.tanh(ad.linear(h, p["w_q2"], block._bias("b_q2")))
+        return ad.tanh(ad.linear(q_in, p["w_q"], p.get("b_q")))
+    h = ad.tanh(ad.linear(q_in, p["w_q1"], p.get("b_q1")))
+    return ad.tanh(ad.linear(h, p["w_q2"], p.get("b_q2")))
 
 
 def visual_embedding(v, block):
     """tanh-embedded visual path (one or two layers)."""
     p = block.params
-    h = ad.tanh(ad.linear(v, p["w_v1"], block._bias("b_v1")))
+    h = ad.tanh(ad.linear(v, p["w_v1"], p.get("b_v1")))
     if block.spec.visual_depth == 1:
         return h
-    return ad.tanh(ad.linear(h, p["w_v2"], block._bias("b_v2")))
+    return ad.tanh(ad.linear(h, p["w_v2"], p.get("b_v2")))
 
 
 def joint_residual(q_in, v, block):
@@ -136,15 +123,15 @@ def block_forward(q_in, v, block, vshort=None):
     if q_in.shape[1] != block.d_in:
         raise ConfigError(f"block {block.index + 1}: input dim {q_in.shape[1]} "
                           f"!= expected {block.d_in}")
+    p = block.params
     out = joint_residual(q_in, v, block)
-    sc = block.spec.shortcut
-    if sc == "linear" or (sc == "identity_after_first" and block.index == 0):
-        out = ad.add(ad.linear(q_in, block.params["w_qs"], block._bias("b_qs")), out)
-    elif sc == "identity_after_first":
+    if "w_qs" in p:
+        out = ad.add(ad.linear(q_in, p["w_qs"], p.get("b_qs")), out)
+    elif block.spec.shortcut == "identity_after_first":
         out = ad.add(q_in, out)
     if block.spec.visual_shortcut:
         if block.index == 0:
-            vshort = ad.linear(v, block.params["w_vs"], block._bias("b_vs"))
+            vshort = ad.linear(v, p["w_vs"], p.get("b_vs"))
         elif vshort is None:
             raise ConfigError("visual-shortcut variant needs the block-1 "
                               "shortcut value from the caller")

@@ -145,10 +145,10 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
                 seq_masks = make_dropout_mask(
                     (len(idx), model.d_emb), rate, rng_drop)
 
-                def input_dropout(x, t, rows):
+                def input_dropout(x, rows):
                     return dropout(x, rate, mask=seq_masks[rows])
             else:
-                def input_dropout(x, t, rows):
+                def input_dropout(x, rows):
                     return dropout(x, rate, rng_drop)
 
             def joint_dropout(h):
@@ -218,20 +218,3 @@ def ablation_sweep(ds, config, dim, budget_dim):
         yield {"sweep": sweep, "variant": variant, "blocks": n_blocks,
                "dim": d_joint, "params": param_count(model.mrn),
                "report": report, "model": model}
-
-
-def write_metrics_csv(metrics, path):
-    cols = ["iteration", "train_loss", "val_overall", "val_yn", "val_num",
-            "val_other"]
-    with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for row in metrics:
-            f.write(",".join(_fmt(row.get(c)) for c in cols) + "\n")
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.6f}"
-    return str(v)

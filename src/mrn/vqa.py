@@ -1,20 +1,19 @@
 """End-to-end model: question GRU + toy CNN + residual fusion stack.
 
-Also owns the checkpoint format: a deterministic binary container with a
-JSON header (dims, variant, parameter manifest) followed by raw float64
-buffers. Round-trips are bit-exact.
+Also owns the checkpoint format: the container of ``container.py`` with
+magic MRNCKPT1, a header holding the model's sizes, variant and parameter
+manifest, and one float64 buffer per parameter in name order. What is
+checkpoint-specific is checked here: the header must describe a model that
+can be built, and the manifest must list exactly its parameters and their
+shapes. Round-trips are bit-exact.
 """
 
 import dataclasses
-import json
-import os
-import struct
-
-import numpy as np
 
 # cnn_forward is looked up through its module at call time, so a wrapper set
 # on encoders.cnn_forward (a profiler, a test double) applies here too
-from . import encoders
+from . import container, encoders
+from .container import check_fields
 from .encoders import CnnConfig, GruEncoder, ToyCnn, gru_forward_trimzero
 # not called here; mrnbench/spans.py wraps this module's gru_forward name
 from .encoders import gru_forward  # noqa: F401
@@ -76,101 +75,64 @@ def save_checkpoint(model, path):
         "cnn": vars(model.cnn.config),
         "params": manifest,
     }
-    hb = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<Q", len(hb)))
-        f.write(hb)
-        for n in names:
-            f.write(np.ascontiguousarray(params[n].data).tobytes())
-
-
-def _read_exact(f, n, size, what, path):
-    """n bytes from f, or ValueError naming the field, offset and path."""
-    offset = f.tell()
-    if n > size - offset:
-        raise ValueError(f"truncated checkpoint: {what} at offset {offset} "
-                         f"needs {n} bytes, {size - offset} left: {path}")
-    return f.read(n)
+    container.write(path, CKPT_MAGIC, header,
+                    [params[n].data for n in names])
 
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        magic = f.read(len(CKPT_MAGIC))
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"not a checkpoint file (bad magic at offset 0): {path}")
-        (hlen,) = struct.unpack("<Q", _read_exact(f, 8, size, "header length",
-                                                  path))
-        offset = f.tell()
-        hb = _read_exact(f, hlen, size, "header", path)
-        try:
-            header = json.loads(hb)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ValueError(f"checkpoint header at offset {offset} is not "
-                             f"valid JSON ({exc}): {path}") from exc
-        model = _model_from_header(header, offset, path)
+        r = container.Reader(f, path)
+        r.magic(CKPT_MAGIC)
+        header = r.header()
+        model = _model_from_header(header, r.bad_header)
         params = model.named_parameters()
         for entry in header["params"]:
             name = entry["name"]
-            t = params[name]
-            offset = f.tell()
-            buf = _read_exact(f, t.size * 8, size, f"parameter {name}", path)
-            t.data = np.frombuffer(buf).reshape(t.shape).copy()
-            if not np.isfinite(t.data).all():
-                raise ValueError(f"parameter {name} at offset {offset} holds "
-                                 f"a non-finite value: {path}")
+            params[name].data = r.floats(params[name].shape,
+                                         f"parameter {name}")
+        r.end("parameter")
     return model
 
 
 _HEADER_FIELDS = {"vocab_size": int, "d_emb": int, "variant": str,
                   "use_bias": bool, "dims": dict, "cnn": dict, "params": list}
+_MANIFEST_FIELDS = {"name": str, "shape": [int]}
 
 
-def _model_from_header(header, offset, path):
+def _model_from_header(header, bad):
     """The model a header describes, after checking every field it uses.
 
     Any missing or mistyped field, dims/cnn key set that differs from the
     dataclass, or manifest that is not exactly the model's parameters with
-    their shapes raises ValueError naming the field or parameter. Types are
-    compared exactly, as json.loads makes them, so true is not an int.
+    their shapes raises bad(problem) naming the field or parameter. A block
+    holds at least one parameter, so n_blocks is capped by the manifest's
+    length before any block is built, and dims too large to allocate are a
+    bad header too.
     """
-    def bad(problem):
-        return ValueError(f"checkpoint header at offset {offset}: {problem}: "
-                          f"{path}")
-
-    def check_type(label, value, kind):
-        if type(value) is not kind:
-            raise bad(f"field {label!r} has type {type(value).__name__}, "
-                      f"expected {kind.__name__}")
-
-    if type(header) is not dict:
-        raise bad("not a JSON object")
-    for name, kind in _HEADER_FIELDS.items():
-        if name not in header:
-            raise bad(f"missing field {name!r}")
-        check_type(name, header[name], kind)
+    check_fields(header, _HEADER_FIELDS, "header", bad)
     for name, cls in (("dims", ModelDims), ("cnn", CnnConfig)):
-        want = sorted(f.name for f in dataclasses.fields(cls))
-        if sorted(header[name]) != want:
+        want = {f.name: int for f in dataclasses.fields(cls)}
+        if sorted(header[name]) != sorted(want):
             raise bad(f"field {name!r} has keys {sorted(header[name])}, "
-                      f"expected {want}")
-        for key, value in header[name].items():
-            check_type(f"{name}.{key}", value, int)
+                      f"expected {sorted(want)}")
+        check_fields(header[name], want, name, bad)
+    manifest = header["params"]
+    for i, entry in enumerate(manifest):
+        check_fields(entry, _MANIFEST_FIELDS, f"manifest entry {i}", bad)
+    if header["dims"]["n_blocks"] > len(manifest):
+        raise bad(f"dims field 'n_blocks' is {header['dims']['n_blocks']}, "
+                  f"more than the {len(manifest)} manifest entries")
     try:
         model = VqaModel(
             vocab_size=header["vocab_size"], d_emb=header["d_emb"],
             variant=header["variant"], dims=ModelDims(**header["dims"]),
             cnn_config=CnnConfig(**header["cnn"]),
             use_bias=header["use_bias"])
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise bad(exc) from exc
     params = model.named_parameters()
     seen = set()
-    for entry in header["params"]:
-        if not (type(entry) is dict and type(entry.get("name")) is str
-                and type(entry.get("shape")) is list):
-            raise bad(f"manifest entry {entry!r} needs a name and a shape")
+    for entry in manifest:
         name, shape = entry["name"], entry["shape"]
         if name not in params:
             raise bad(f"manifest names unknown parameter {name!r}")
@@ -178,7 +140,7 @@ def _model_from_header(header, offset, path):
             raise bad(f"parameter {name!r} appears twice in the manifest")
         seen.add(name)
         want = list(params[name].shape)
-        if shape != want or any(type(n) is not int for n in shape):
+        if shape != want:
             raise bad(f"parameter {name!r} has shape {shape} in the "
                       f"manifest, {want} in the model")
     missing = sorted(set(params) - seen)

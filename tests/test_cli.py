@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mrn import data as data_mod
 from mrn.cli import build_parser, load_config_file, main
+from mrn.container import FormatError
 from mrn.encoders import CnnConfig
 from mrn.model import ModelDims
 from mrn.vqa import VqaModel, load_checkpoint, save_checkpoint
@@ -216,7 +217,8 @@ def test_eval_bad_checkpoint_header_exit_code(workdir, tmp_path, capsys):
                str(path), "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "checkpoint header at offset 16: missing field 'd_emb'" in err
+    assert (f"bad header at byte 16: header is missing field 'd_emb' in "
+            f"{path}") in err
     assert "Traceback" not in err
 
 
@@ -279,17 +281,45 @@ def quiet_eval(data, ckpt, out):
     return rc, err.getvalue()
 
 
-@pytest.mark.parametrize("name, error", [
-    ("ds.mrnd", data_mod.DatasetFormatError), ("m.ckpt", ValueError)])
+def set_d_joint(blob):
+    """The checkpoint blob with its header's dims.d_joint set to 10**7."""
+    hlen = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + hlen])
+    header["dims"]["d_joint"] = 10**7
+    hb = json.dumps(header).encode()
+    return blob[:8] + len(hb).to_bytes(8, "little") + hb + blob[16 + hlen:]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda blob: blob + blob,
+     "{n} bytes after the last parameter at byte {n}"),
+    (set_d_joint, "bad header at byte 16: Unable to allocate"),
+], ids=["two-checkpoints", "d_joint-too-large"])
+def test_eval_checkpoint_trailing_bytes_or_impossible_dims_exit_code(
+        small_files, corrupt, message):
+    blob = (small_files / "m.ckpt").read_bytes()
+    path = small_files / "bad-m.ckpt"
+    path.write_bytes(corrupt(blob))
+    rc, err = quiet_eval(small_files / "ds.mrnd", path, small_files / "out")
+    assert rc == 1
+    assert err.startswith(f"error: {message.format(n=len(blob))}")
+    assert err.endswith(f" in {path}\n")
+
+
+# the ids are the names these cases had when each format raised its own error
+# type; both now raise FormatError
+@pytest.mark.parametrize("name", [
+    pytest.param("ds.mrnd", id="ds.mrnd-DatasetFormatError"),
+    pytest.param("m.ckpt", id="m.ckpt-ValueError")])
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
-def test_truncation_anywhere_is_a_typed_error(small_files, name, error, data):
+def test_truncation_anywhere_is_a_typed_error(small_files, name, data):
     blob = (small_files / name).read_bytes()
     cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
     path = small_files / f"cut-{name}"
     path.write_bytes(blob[:cut])
     load = data_mod.load if name.endswith(".mrnd") else load_checkpoint
-    with pytest.raises(error) as info:
+    with pytest.raises(FormatError) as info:
         load(str(path))
     assert str(path) in str(info.value)
     files = {"ds.mrnd": small_files / "ds.mrnd",
@@ -312,14 +342,14 @@ def test_byte_flip_anywhere_is_a_typed_error_or_finite(small_files, name,
     files = {"ds.mrnd": small_files / "ds.mrnd",
              "m.ckpt": small_files / "m.ckpt", name: path}
     if name.endswith(".mrnd"):
-        load, error = data_mod.load, data_mod.DatasetFormatError
+        load = data_mod.load
         numbers = lambda ds: [e.image for e in ds.examples]
     else:
-        load, error = load_checkpoint, ValueError
+        load = load_checkpoint
         numbers = lambda m: [t.data for t in m.named_parameters().values()]
     try:
         loaded = load(str(path))
-    except error as exc:
+    except FormatError as exc:
         assert str(path) in str(exc)
         loaded = None
     else:
@@ -342,7 +372,7 @@ def test_non_finite_input_exit_code(workdir, tmp_path, capsys, command, bad):
     data, ckpt = workdir / "ds.mrnd", tmp_path / "m.ckpt"
     if bad == "checkpoint":
         model.cnn.params["conv1_w"].data[0, 0, 1, 1] = np.inf
-        message = "parameter cnn.conv1_w at offset "
+        message = "parameter cnn.conv1_w at byte "
         named = ckpt
     else:
         first_val = next(i for i, e in enumerate(ds.examples)

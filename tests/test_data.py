@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from mrn import data as data_mod
-from mrn.data import ANSWER_VOCAB, BACKGROUND, CELL, COLORS, \
-    DatasetFormatError, Scene, SceneObject, answer_question, export_jsonl, \
-    generate, load, render, save
+from mrn.container import FormatError
+from mrn.data import ANSWER_VOCAB, BACKGROUND, CELL, COLORS, Scene, \
+    SceneObject, answer_question, export_jsonl, generate, load, render, save
 
 
 def test_generate_deterministic():
@@ -165,7 +165,7 @@ def test_truncated_file_parse_error(tmp_path):
     cut = os.path.join(tmp_path, "cut.mrnd")
     with open(cut, "wb") as f:
         f.write(data[:len(data) - 100])
-    with pytest.raises(DatasetFormatError, match="byte"):
+    with pytest.raises(FormatError, match="byte"):
         load(cut)
 
 
@@ -177,10 +177,29 @@ def test_non_finite_pixel_names_example_and_offset(tmp_path, value):
     save(ds, path)
     (hlen,) = struct.unpack("<Q", open(path, "rb").read()[12:20])
     offset = 20 + hlen + ds.examples[0].image.nbytes
-    with pytest.raises(DatasetFormatError) as info:
+    with pytest.raises(FormatError) as info:
         load(path)
     assert str(info.value) == (f"example 1 image at byte {offset} holds a "
-                               f"non-finite pixel in {path}")
+                               f"non-finite value in {path}")
+
+
+def test_huge_image_shape_is_truncation_without_allocating(tmp_path,
+                                                          monkeypatch):
+    good = os.path.join(tmp_path, "good.mrnd")
+    save(generate(9, 2), good)
+    bad = os.path.join(tmp_path, "bad.mrnd")
+    with_header(good, bad, lambda h: {**h, "image_shape": [3, 10**6, 10**6]})
+    (hlen,) = struct.unpack("<Q", open(bad, "rb").read()[12:20])
+    left = os.path.getsize(bad) - 20 - hlen
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before checking the file size")
+    monkeypatch.setattr(np, "empty", no_alloc)
+    with pytest.raises(FormatError) as info:
+        load(bad)
+    assert str(info.value) == (f"truncated example 0 image at byte "
+                               f"{20 + hlen}: needs {24 * 10**12} bytes, "
+                               f"{left} left in {bad}")
 
 
 def test_bytes_after_last_image_name_offset(tmp_path):
@@ -189,7 +208,7 @@ def test_bytes_after_last_image_name_offset(tmp_path):
     end = os.path.getsize(path)
     with open(path, "ab") as f:
         f.write(b"\0" * 24)
-    with pytest.raises(DatasetFormatError) as info:
+    with pytest.raises(FormatError) as info:
         load(path)
     assert str(info.value) == (f"24 bytes after the last image at byte {end} "
                                f"in {path}")
@@ -247,7 +266,7 @@ def test_bad_header_names_field(tmp_path, edit, message):
     save(generate(9, 3), good)
     bad = os.path.join(tmp_path, "bad.mrnd")
     with_header(good, bad, edit)
-    with pytest.raises(DatasetFormatError) as info:
+    with pytest.raises(FormatError) as info:
         load(bad)
     msg = str(info.value)
     assert msg.startswith("bad header at byte 20: ") and message in msg
@@ -258,7 +277,7 @@ def test_bad_magic_and_version(tmp_path):
     path = os.path.join(tmp_path, "junk.mrnd")
     with open(path, "wb") as f:
         f.write(b"WRONGMAG" + b"\0" * 40)
-    with pytest.raises(DatasetFormatError, match="byte 0"):
+    with pytest.raises(FormatError, match="byte 0"):
         load(path)
     ds = generate(9, 2)
     good = os.path.join(tmp_path, "good.mrnd")
@@ -267,7 +286,7 @@ def test_bad_magic_and_version(tmp_path):
     blob[8] = 99  # version field
     bad = os.path.join(tmp_path, "badver.mrnd")
     open(bad, "wb").write(bytes(blob))
-    with pytest.raises(DatasetFormatError, match="version"):
+    with pytest.raises(FormatError, match="version"):
         load(bad)
 
 

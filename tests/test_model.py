@@ -6,6 +6,7 @@ import pytest
 
 from mrn import autodiff as ad
 from mrn.autodiff import Tensor
+from mrn.container import FormatError
 from mrn.model import ConfigError, LearningBlock, ModelDims, MrnModel, \
     VARIANTS, block_forward, joint_residual, mrn_forward, param_count, \
     solve_dim_for_budget
@@ -344,14 +345,20 @@ def test_checkpoint_bad_magic(tmp_path):
     path = os.path.join(tmp_path, "junk.ckpt")
     with open(path, "wb") as f:
         f.write(b"NOTACKPT" + b"\0" * 32)
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(FormatError, match="magic"):
         load_checkpoint(path)
 
 
+# a case whose message was reworded keeps its earlier message as its id, so
+# every case keeps its name across the rewording
 @pytest.mark.parametrize("keep, message", [
-    (12, "header length at offset 8 needs 8 bytes, 4 left"),
-    (40, r"header at offset 16 needs \d+ bytes, 24 left"),
-    (-4, r"parameter \S+ at offset \d+ needs \d+ bytes, \d+ left"),
+    pytest.param(12, "header length at byte 8: needs 8 bytes, 4 left",
+                 id="12-header length at offset 8 needs 8 bytes, 4 left"),
+    pytest.param(40, r"header at byte 16: needs \d+ bytes, 24 left",
+                 id=r"40-header at offset 16 needs \d+ bytes, 24 left"),
+    pytest.param(-4, r"parameter \S+ at byte \d+: needs \d+ bytes, \d+ left",
+                 id=r"-4-parameter \S+ at offset \d+ needs \d+ bytes, "
+                 r"\d+ left"),
 ])
 def test_checkpoint_truncated_names_offset(tmp_path, keep, message):
     model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
@@ -361,10 +368,9 @@ def test_checkpoint_truncated_names_offset(tmp_path, keep, message):
     blob = open(path, "rb").read()
     with open(path, "wb") as f:
         f.write(blob[:keep])
-    with pytest.raises(ValueError, match="truncated checkpoint: " + message) \
-            as info:
+    with pytest.raises(FormatError, match="truncated " + message) as info:
         load_checkpoint(path)
-    assert path in str(info.value)
+    assert str(info.value).endswith(f" left in {path}")
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -377,21 +383,37 @@ def test_checkpoint_non_finite_parameter_names_offset(tmp_path, value):
     hlen = int.from_bytes(open(path, "rb").read()[8:16], "little")
     # buffers follow the header in name order; cnn.conv1_b comes first
     offset = 16 + hlen + 8 * model.cnn.params["conv1_b"].size
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(FormatError) as info:
         load_checkpoint(path)
-    assert str(info.value) == (f"parameter cnn.conv1_w at offset {offset} "
-                               f"holds a non-finite value: {path}")
+    assert str(info.value) == (f"parameter cnn.conv1_w at byte {offset} "
+                               f"holds a non-finite value in {path}")
+
+
+def test_checkpoint_trailing_bytes_name_offset(tmp_path):
+    model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
+        d_q=4, d_v=5, d_joint=5, n_answers=4, n_blocks=1))
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(model, path)
+    end = os.path.getsize(path)
+    # a second checkpoint appended to the first
+    with open(path, "ab") as f:
+        f.write(open(path, "rb").read())
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (f"{end} bytes after the last parameter at "
+                               f"byte {end} in {path}")
 
 
 @pytest.mark.parametrize("header", [b'{"voca', b"\xff\xfe"])
 def test_checkpoint_header_not_json(tmp_path, header):
+    # the byte where json.loads gives up
+    offset = 16 + {b'{"voca': 1, b"\xff\xfe": 0}[header]
     path = os.path.join(tmp_path, "bad.ckpt")
     with open(path, "wb") as f:
         f.write(b"MRNCKPT1" + len(header).to_bytes(8, "little") + header)
-    with pytest.raises(ValueError, match="header at offset 16 is not valid "
-                       "JSON") as info:
+    with pytest.raises(FormatError) as info:
         load_checkpoint(path)
-    assert path in str(info.value)
+    assert str(info.value) == f"bad header json at byte {offset} in {path}"
 
 
 def _with(header, **fields):
@@ -406,35 +428,56 @@ def _edit_params(edit):
     return apply
 
 
+# as above, a reworded case keeps its earlier message as its id
 @pytest.mark.parametrize("edit, message", [
-    (lambda h: {"vocab_size": 5}, "missing field 'd_emb'"),
-    (lambda h: [h], "not a JSON object"),
-    (lambda h: _with(h, d_emb="3"),
-     "field 'd_emb' has type str, expected int"),
-    (lambda h: _with(h, vocab_size=True), "field 'vocab_size' has type bool"),
-    (lambda h: _with(h, use_bias=1), "field 'use_bias' has type int, "
-     "expected bool"),
-    (lambda h: _with(h, params={}), "field 'params' has type dict"),
+    pytest.param(lambda h: {"vocab_size": 5},
+                 "header is missing field 'd_emb'",
+                 id="<lambda>-missing field 'd_emb'"),
+    pytest.param(lambda h: [h], "header is not a JSON object",
+                 id="<lambda>-not a JSON object"),
+    pytest.param(lambda h: _with(h, d_emb="3"),
+                 "header field 'd_emb' should be int",
+                 id="<lambda>-field 'd_emb' has type str, expected int"),
+    pytest.param(lambda h: _with(h, vocab_size=True),
+                 "header field 'vocab_size' should be int",
+                 id="<lambda>-field 'vocab_size' has type bool"),
+    pytest.param(lambda h: _with(h, use_bias=1),
+                 "header field 'use_bias' should be bool",
+                 id="<lambda>-field 'use_bias' has type int, expected bool"),
+    pytest.param(lambda h: _with(h, params={}),
+                 "header field 'params' should be list",
+                 id="<lambda>-field 'params' has type dict"),
     (lambda h: _with(h, dims={**h["dims"], "d_extra": 1}),
      r"field 'dims' has keys \[.*'d_extra'"),
     (lambda h: _with(h, cnn={k: v for k, v in h["cnn"].items()
                              if k != "kernel"}), "field 'cnn' has keys"),
-    (lambda h: _with(h, dims={**h["dims"], "n_blocks": 1.0}),
-     "field 'dims.n_blocks' has type float"),
+    pytest.param(lambda h: _with(h, dims={**h["dims"], "n_blocks": 1.0}),
+                 "dims field 'n_blocks' should be int",
+                 id="<lambda>-field 'dims.n_blocks' has type float"),
     (lambda h: _with(h, variant="zz"), "unknown variant"),
     (_edit_params(lambda p: p[0].update(shape=[1])),
      r"parameter 'cnn.conv1_b' has shape \[1\] in the manifest, \[8\] in "
      "the model"),
-    (_edit_params(lambda p: p[0].update(shape=[8.0])),
-     "parameter 'cnn.conv1_b' has shape"),
+    pytest.param(_edit_params(lambda p: p[0].update(shape=[8.0])),
+                 "manifest entry 0 field 'shape' should be list of int",
+                 id="apply-parameter 'cnn.conv1_b' has shape"),
     (_edit_params(lambda p: p[0].update(name="cnn.nope")),
      "manifest names unknown parameter 'cnn.nope'"),
     (_edit_params(lambda p: p.__setitem__(1, p[0])),
      "parameter 'cnn.conv1_b' appears twice"),
     (_edit_params(lambda p: p.pop()),
      "parameter 'mrn.cls_w' is missing from the manifest"),
-    (_edit_params(lambda p: p.__setitem__(0, "cnn.conv1_b")),
-     "manifest entry 'cnn.conv1_b' needs a name and a shape"),
+    pytest.param(_edit_params(lambda p: p.__setitem__(0, "cnn.conv1_b")),
+                 "manifest entry 0 is not a JSON object",
+                 id="apply-manifest entry 'cnn.conv1_b' needs a name and a "
+                 "shape"),
+    # built from the header, this model would not fit in memory
+    pytest.param(lambda h: _with(h, dims={**h["dims"], "d_joint": 10**7}),
+                 "Unable to allocate", id="d_joint-too-large"),
+    # a block holds parameters, so more blocks than entries cannot match
+    pytest.param(lambda h: _with(h, dims={**h["dims"], "n_blocks": 10**9}),
+                 r"dims field 'n_blocks' is 1000000000, more than the \d+ "
+                 "manifest entries", id="n_blocks-beyond-manifest"),
 ])
 def test_checkpoint_bad_header_names_field(tmp_path, edit, message):
     model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
@@ -447,7 +490,7 @@ def test_checkpoint_bad_header_names_field(tmp_path, edit, message):
     with open(path, "wb") as f:
         f.write(blob[:8] + len(hb).to_bytes(8, "little") + hb
                 + blob[16 + hlen:])
-    with pytest.raises(ValueError, match="checkpoint header at offset 16: "
+    with pytest.raises(FormatError, match="bad header at byte 16: "
                        + message) as info:
         load_checkpoint(path)
-    assert path in str(info.value)
+    assert str(info.value).endswith(f" in {path}")
