@@ -212,12 +212,9 @@ def add_bias(x, b):
     return out
 
 
-def linear(x, w, b=None):
-    """x @ w (+ row bias b)."""
-    y = matmul(x, w)
-    if b is not None:
-        y = add_bias(y, b)
-    return y
+def linear(x, w, b):
+    """x @ w + row bias b."""
+    return add_bias(matmul(x, w), b)
 
 
 # ---------------------------------------------------------------------------

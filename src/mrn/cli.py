@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as data_mod
 from . import evaluation, training, visualization
 from .gradcheck import check_full_model, check_tensor_grad
@@ -28,18 +29,26 @@ class ValidationError(ValueError):
 
 def load_config_file(path):
     values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                offset = f.tell() - len(raw) + exc.start
+                raise ValidationError(f"{path}:{lineno}: not UTF-8 text at "
+                                      f"byte {offset}") from None
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key=value")
             k, v = (s.strip() for s in line.split("=", 1))
-            values[k.replace("-", "_")] = v
-    version = values.pop("config_version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ValidationError(f"unsupported config_version {version}")
+            k = k.replace("-", "_")
+            if k != "config_version":
+                values[k] = v
+            elif v != CONFIG_VERSION:
+                raise ValidationError(f"{path}:{lineno}: unsupported "
+                                      f"config_version {v}")
     return values
 
 
@@ -50,12 +59,15 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     p.subcommands = sub.choices   # name -> its parser, for --config
 
-    def common(sp):
+    def seed_flag(sp):
         sp.add_argument("--seed", type=int, default=7)
+
+    def out_flag(sp):
         sp.add_argument("--out", default="out", help="output directory")
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
-    common(g)
+    seed_flag(g)
+    out_flag(g)
     g.add_argument("--n", type=int, default=900, help="number of examples")
     g.add_argument("--data", default=None, help="dataset path "
                    "(default: OUT/dataset.mrnd)")
@@ -69,23 +81,26 @@ def build_parser():
         sp.add_argument("--d-v", type=int, default=64)
         sp.add_argument("--d-emb", type=int, default=16)
 
-    def train_flags(sp):
-        sp.add_argument("--iters", type=int, default=1200)
-        sp.add_argument("--batch", type=int, default=32)
-        sp.add_argument("--lr", type=float, default=3e-3)
-        sp.add_argument("--dropout", type=float, default=0.1)
-        sp.add_argument("--dropout-mode", choices=["standard", "bayesian"],
-                        default="standard")
-        sp.add_argument("--freeze-cnn", action="store_true")
+    recipe = TrainConfig()   # the pinned recipe gives the flags' defaults
+
+    def recipe_flags(sp):
+        sp.add_argument("--iters", type=int, default=recipe.iterations)
+        sp.add_argument("--batch", type=int, default=recipe.batch_size)
+        sp.add_argument("--lr", type=float, default=recipe.learning_rate)
+        sp.add_argument("--dropout", type=float, default=recipe.dropout_rate)
 
     t = sub.add_parser("train", help="train a model")
-    common(t)
+    seed_flag(t)
+    out_flag(t)
     t.add_argument("--data", required=True)
     model_flags(t)
-    train_flags(t)
+    recipe_flags(t)
+    t.add_argument("--dropout-mode", choices=["standard", "bayesian"],
+                   default=recipe.dropout_mode)
+    t.add_argument("--freeze-cnn", action="store_true")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(e)
+    out_flag(e)
     e.add_argument("--data", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--protocol", choices=["oe", "mc", "both"], default="both")
@@ -94,25 +109,23 @@ def build_parser():
     e.add_argument("--split", default="test")
 
     a = sub.add_parser("ablate", help="variant / depth / shortcut sweep")
-    common(a)
+    seed_flag(a)
+    out_flag(a)
     a.add_argument("--data", required=True)
-    a.add_argument("--iters", type=int, default=1200)
-    a.add_argument("--batch", type=int, default=32)
-    a.add_argument("--lr", type=float, default=3e-3)
-    a.add_argument("--dropout", type=float, default=0.1)
+    recipe_flags(a)
     a.add_argument("--dim", type=int, default=64)
     a.add_argument("--budget-dim", type=int, default=64, help="d_joint of the "
                    "reference model fixing the MN-vs-MRN parameter budget")
 
     v = sub.add_parser("viz", help="write attention heatmaps for one example")
-    common(v)
+    out_flag(v)
     v.add_argument("--data", required=True)
     v.add_argument("--checkpoint", required=True)
     v.add_argument("--index", type=int, default=0)
     v.add_argument("--split", default="val")
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    common(gc)
+    seed_flag(gc)
     return p
 
 
@@ -269,9 +282,6 @@ def cmd_viz(args):
 
 
 def cmd_gradcheck(args):
-    import numpy as np
-
-    from . import autodiff as ad
     failures = 0
     tol = 1e-4
     rng = np.random.default_rng(args.seed)

@@ -34,15 +34,15 @@ def classify_answer_type(answer):
     return "Other"
 
 
-def multiple_choice_mask(probs, candidates):
-    """Zero out probabilities outside the candidate set."""
+def multiple_choice_mask(scores, candidates):
+    """A copy of scores with every answer outside the candidates at -inf."""
     if len(candidates) == 0:
         raise ValueError("empty candidate set")
     cand = np.asarray(sorted(candidates), dtype=np.int64)
-    if cand.min() < 0 or cand.max() >= len(probs):
+    if cand.min() < 0 or cand.max() >= len(scores):
         raise IndexError("candidate id out of range")
-    out = np.zeros_like(probs)
-    out[cand] = probs[cand]
+    out = np.full_like(scores, -np.inf)
+    out[cand] = scores[cand]
     return out
 
 
@@ -87,15 +87,14 @@ class EvalReport:
         return report
 
 
-def _softmax(z):
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def predict_batch(model, examples, protocol="oe", postprocess=False,
                   vocab=None):
-    """Predicted answer ids for examples, scored in one forward."""
+    """Predicted answer ids for examples, scored in one forward.
+
+    The prediction is the answer with the largest logit (after
+    postprocessing), among the candidates under MC. Softmax keeps the
+    order of the logits, so it is not taken.
+    """
     vocab = vocab if vocab is not None else _default_vocab()
     images = np.stack([e.image for e in examples])
     batch = QuestionBatch.pad([e.question for e in examples])
@@ -103,13 +102,12 @@ def predict_batch(model, examples, protocol="oe", postprocess=False,
     for e, logits in zip(examples, model.predict_logits(images, batch)):
         if postprocess:
             logits = caption_postprocess(logits, e.caption, vocab)
-        probs = _softmax(logits)
         if protocol == "mc":
             if not getattr(e, "candidates", None):
                 raise ValueError("multiple-choice protocol needs candidate "
                                  "lists")
-            probs = multiple_choice_mask(probs, e.candidates)
-        preds.append(int(np.argmax(probs)))
+            logits = multiple_choice_mask(logits, e.candidates)
+        preds.append(int(np.argmax(logits)))
     return preds
 
 

@@ -1,8 +1,9 @@
 """Central finite-difference checking of tape gradients.
 
 Used both by the test suite and the ``mrn gradcheck`` command. All checks
-build the graph fresh per evaluation, so h=1e-5 central differences in
-float64 resolve gradients to well below the 1e-4 acceptance threshold.
+build the graph fresh per evaluation, so central differences of step
+FD_STEP in float64 resolve gradients to well below the 1e-4 acceptance
+threshold.
 """
 
 import numpy as np
@@ -11,10 +12,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .encoders import CnnConfig, QuestionBatch
 from .model import ModelDims
+from .training import init_params
 from .vqa import VqaModel
 
+FD_STEP = 1e-5
 
-def fd_grad(f, x, h=1e-5):
+
+def fd_grad(f, x):
     """Central finite-difference gradient of scalar f at array x."""
     x = np.asarray(x, dtype=np.float64)
     g = np.zeros_like(x)
@@ -22,12 +26,12 @@ def fd_grad(f, x, h=1e-5):
     gflat = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = f(x)
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = f(x)
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2 * h)
+        gflat[i] = (fp - fm) / (2 * FD_STEP)
     return g
 
 
@@ -39,7 +43,7 @@ def rel_err(a, b):
     return float(np.max(np.abs(a - b) / denom))
 
 
-def check_tensor_grad(build_loss, value, h=1e-5):
+def check_tensor_grad(build_loss, value):
     """Compare tape gradient vs finite differences for one leaf array.
 
     build_loss(tensor) must construct a fresh graph and return the scalar
@@ -49,7 +53,7 @@ def check_tensor_grad(build_loss, value, h=1e-5):
     loss = build_loss(leaf)
     loss.backward()
     analytic = leaf.grad.copy()
-    numeric = fd_grad(lambda x: build_loss(Tensor(x)).item(), leaf.data, h)
+    numeric = fd_grad(lambda x: build_loss(Tensor(x)).item(), leaf.data)
     return rel_err(analytic, numeric)
 
 
@@ -60,10 +64,7 @@ def tiny_model(seed=0, variant="b", n_blocks=3):
                     kernel=3, d_out=5)
     model = VqaModel(vocab_size=6, d_emb=3, variant=variant, dims=dims,
                      cnn_config=cnn)
-    rng = np.random.default_rng(seed)
-    for name in sorted(model.named_parameters()):
-        t = model.named_parameters()[name]
-        t.data = rng.uniform(-0.4, 0.4, size=t.shape)
+    init_params(model.named_parameters(), 0.4, seed)
     return model
 
 
@@ -76,12 +77,12 @@ def tiny_batch(seed=0, batch_size=2, maxlen=4, image_size=8, vocab=6):
     return images, QuestionBatch.pad(questions), targets
 
 
-def check_full_model(model=None, seed=0, h=1e-5):
-    """FD-check every parameter tensor of a tiny end-to-end model.
+def check_full_model(seed=0):
+    """FD-check every parameter tensor of tiny_model(seed).
 
     Returns a list of (name, max_rel_err), sorted by name.
     """
-    model = model or tiny_model(seed)
+    model = tiny_model(seed)
     images, batch, targets = tiny_batch(seed, image_size=model.cnn.config.image_size,
                                         vocab=model.vocab_size)
     params = model.named_parameters()
@@ -105,7 +106,7 @@ def check_full_model(model=None, seed=0, h=1e-5):
             _t.data = old
             return val
 
-        numeric = fd_grad(f, t.data.copy(), h)
+        numeric = fd_grad(f, t.data.copy())
         results.append((name, rel_err(analytic[name], numeric)))
         t.zero_grad()
     return results

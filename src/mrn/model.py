@@ -13,6 +13,10 @@ shortcut wiring:
   e: as b, plus a visual shortcut; its linear map exists only in block 1
      and its output is carried unchanged into later blocks
   mn: as b with the shortcut removed entirely (no-shortcut ablation)
+
+Every linear map carries a bias. The paper writes the blocks and the
+cascade of Eq. (6) without biases; that is this model with its biases at
+zero, where they start.
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +65,7 @@ class ModelDims:
 
 
 class LearningBlock:
-    def __init__(self, spec, index, d_in, d_v, d_joint, use_bias=True):
+    def __init__(self, spec, index, d_in, d_v, d_joint):
         self.spec = spec
         self.index = index
         self.d_in = d_in
@@ -70,10 +74,9 @@ class LearningBlock:
         p = {}
 
         def dense(name, n_in):
-            # the map n_in -> d_joint: w_<name> and, with biases, b_<name>
+            # the map n_in -> d_joint: weights w_<name>, bias b_<name>
             p[f"w_{name}"] = z(n_in, d_joint)
-            if use_bias:
-                p[f"b_{name}"] = z(d_joint)
+            p[f"b_{name}"] = z(d_joint)
 
         if spec.shortcut == "linear" or (spec.shortcut == "identity_after_first"
                                          and index == 0):
@@ -99,18 +102,18 @@ def question_mask(q_in, block):
     """tanh-embedded question path (one or two layers)."""
     p = block.params
     if block.spec.question_depth == 1:
-        return ad.tanh(ad.linear(q_in, p["w_q"], p.get("b_q")))
-    h = ad.tanh(ad.linear(q_in, p["w_q1"], p.get("b_q1")))
-    return ad.tanh(ad.linear(h, p["w_q2"], p.get("b_q2")))
+        return ad.tanh(ad.linear(q_in, p["w_q"], p["b_q"]))
+    h = ad.tanh(ad.linear(q_in, p["w_q1"], p["b_q1"]))
+    return ad.tanh(ad.linear(h, p["w_q2"], p["b_q2"]))
 
 
 def visual_embedding(v, block):
     """tanh-embedded visual path (one or two layers)."""
     p = block.params
-    h = ad.tanh(ad.linear(v, p["w_v1"], p.get("b_v1")))
+    h = ad.tanh(ad.linear(v, p["w_v1"], p["b_v1"]))
     if block.spec.visual_depth == 1:
         return h
-    return ad.tanh(ad.linear(h, p["w_v2"], p.get("b_v2")))
+    return ad.tanh(ad.linear(h, p["w_v2"], p["b_v2"]))
 
 
 def joint_residual(q_in, v, block):
@@ -126,12 +129,12 @@ def block_forward(q_in, v, block, vshort=None):
     p = block.params
     out = joint_residual(q_in, v, block)
     if "w_qs" in p:
-        out = ad.add(ad.linear(q_in, p["w_qs"], p.get("b_qs")), out)
+        out = ad.add(ad.linear(q_in, p["w_qs"], p["b_qs"]), out)
     elif block.spec.shortcut == "identity_after_first":
         out = ad.add(q_in, out)
     if block.spec.visual_shortcut:
         if block.index == 0:
-            vshort = ad.linear(v, p["w_vs"], p.get("b_vs"))
+            vshort = ad.linear(v, p["w_vs"], p["b_vs"])
         elif vshort is None:
             raise ConfigError("visual-shortcut variant needs the block-1 "
                               "shortcut value from the caller")
@@ -140,23 +143,21 @@ def block_forward(q_in, v, block, vshort=None):
 
 
 class MrnModel:
-    def __init__(self, variant="b", dims=None, use_bias=True):
+    def __init__(self, variant="b", dims=None):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
         self.variant = variant
         self.spec = VARIANTS[variant]
         self.dims = dims or ModelDims()
-        self.use_bias = use_bias
         self.blocks = []
         d_in = self.dims.d_q
         for i in range(self.dims.n_blocks):
             self.blocks.append(LearningBlock(self.spec, i, d_in, self.dims.d_v,
-                                             self.dims.d_joint, use_bias))
+                                             self.dims.d_joint))
             d_in = self.dims.d_joint
         z = lambda *s: Tensor(np.zeros(s), requires_grad=True)
-        self.params = {"cls_w": z(self.dims.d_joint, self.dims.n_answers)}
-        if use_bias:
-            self.params["cls_b"] = z(self.dims.n_answers)
+        self.params = {"cls_w": z(self.dims.d_joint, self.dims.n_answers),
+                       "cls_b": z(self.dims.n_answers)}
 
     def named_parameters(self):
         out = {}
@@ -179,7 +180,7 @@ def mrn_forward(q, v, model, joint_dropout=None):
         h, vshort = block_forward(h, v, blk, vshort)
         if joint_dropout is not None:
             h = joint_dropout(h)
-    logits = ad.linear(h, model.params["cls_w"], model.params.get("cls_b"))
+    logits = ad.linear(h, model.params["cls_w"], model.params["cls_b"])
     return h, logits
 
 
@@ -188,13 +189,13 @@ def param_count(model):
     return sum(t.size for t in model.named_parameters().values())
 
 
-def solve_dim_for_budget(variant, n_blocks, d_q, d_v, n_answers, target_params,
-                         use_bias=True):
+def solve_dim_for_budget(variant, n_blocks, d_q, d_v, n_answers,
+                         target_params):
     """Largest d_joint whose param_count fits the budget, by bisection."""
     def count(dj):
         dims = ModelDims(d_q=d_q, d_v=d_v, d_joint=dj, n_answers=n_answers,
                          n_blocks=n_blocks)
-        return param_count(MrnModel(variant, dims, use_bias))
+        return param_count(MrnModel(variant, dims))
 
     if count(1) > target_params:
         raise ConfigError(f"budget {target_params} below the smallest "

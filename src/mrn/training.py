@@ -19,6 +19,9 @@ from .vqa import VqaModel
 
 # every parameter starts i.i.d. uniform(-INIT_RANGE, INIT_RANGE)
 INIT_RANGE = 0.08
+# RMSProp's moving-average decay of g^2 and the denominator's epsilon
+RMSPROP_DECAY = 0.99
+RMSPROP_EPS = 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -27,10 +30,11 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """A training run; the defaults are the pinned recipe."""
     batch_size: int = 32
-    iterations: int = 5000
-    learning_rate: float = 3e-4
-    dropout_rate: float = 0.2
+    iterations: int = 1200
+    learning_rate: float = 3e-3
+    dropout_rate: float = 0.1
     dropout_mode: str = "standard"   # "standard" | "bayesian"
     seed: int = 0
     freeze_cnn: bool = False
@@ -64,8 +68,9 @@ def init_params(named_params, init_range, seed):
         t.data = rng.uniform(-init_range, init_range, size=t.shape)
 
 
-def rmsprop_step(named_params, state, lr, decay=0.99, eps=1e-8):
-    """s <- decay*s + (1-decay)*g^2;  p <- p - lr*g/(sqrt(s)+eps)."""
+def rmsprop_step(named_params, state, lr):
+    """s <- decay*s + (1-decay)*g^2;  p <- p - lr*g/(sqrt(s)+eps), with
+    decay RMSPROP_DECAY and eps RMSPROP_EPS."""
     for name, t in named_params.items():
         g = t.grad
         if g is None:
@@ -73,9 +78,9 @@ def rmsprop_step(named_params, state, lr, decay=0.99, eps=1e-8):
         s = state.get(name)
         if s is None:
             s = np.zeros_like(t.data)
-        s = decay * s + (1.0 - decay) * g * g
+        s = RMSPROP_DECAY * s + (1.0 - RMSPROP_DECAY) * g * g
         state[name] = s
-        t.data = t.data - lr * g / (np.sqrt(s) + eps)
+        t.data = t.data - lr * g / (np.sqrt(s) + RMSPROP_EPS)
 
 
 def make_dropout_mask(shape, rate, rng):

@@ -98,10 +98,10 @@ def render_heatmap(raw, block_index=0):
                             threshold=tau)
 
 
-def overlay_image(image, mask, dim=0.35):
-    """Full brightness where the mask is set, dimmed elsewhere."""
+def overlay_image(image, mask):
+    """Full brightness where the mask is set, 0.35 of it elsewhere."""
     img = np.asarray(image, dtype=np.float64)
-    scale = np.where(mask[None], 1.0, dim)
+    scale = np.where(mask[None], 1.0, 0.35)
     return np.clip(img * scale, 0.0, 1.0)
 
 

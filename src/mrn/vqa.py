@@ -24,7 +24,7 @@ CKPT_MAGIC = b"MRNCKPT1"
 
 class VqaModel:
     def __init__(self, vocab_size, d_emb=16, variant="b", dims=None,
-                 cnn_config=None, use_bias=True):
+                 cnn_config=None):
         if d_emb < 1:
             raise ConfigError(f"d_emb must be >= 1, got {d_emb}")
         self.vocab_size = vocab_size
@@ -35,7 +35,7 @@ class VqaModel:
             raise ValueError("cnn d_out must equal d_v")
         self.gru = GruEncoder(vocab_size, d_emb, self.dims.d_q)
         self.cnn = ToyCnn(cnn_config)
-        self.mrn = MrnModel(variant, self.dims, use_bias)
+        self.mrn = MrnModel(variant, self.dims)
 
     @property
     def variant(self):
@@ -70,7 +70,6 @@ def save_checkpoint(model, path):
         "vocab_size": model.vocab_size,
         "d_emb": model.d_emb,
         "variant": model.variant,
-        "use_bias": model.mrn.use_bias,
         "dims": vars(model.dims),
         "cnn": vars(model.cnn.config),
         "params": manifest,
@@ -95,7 +94,7 @@ def load_checkpoint(path):
 
 
 _HEADER_FIELDS = {"vocab_size": int, "d_emb": int, "variant": str,
-                  "use_bias": bool, "dims": dict, "cnn": dict, "params": list}
+                  "dims": dict, "cnn": dict, "params": list}
 _MANIFEST_FIELDS = {"name": str, "shape": [int]}
 
 
@@ -107,7 +106,7 @@ def _model_from_header(header, bad):
     their shapes raises bad(problem) naming the field or parameter. A block
     holds at least one parameter, so n_blocks is capped by the manifest's
     length before any block is built, and dims too large to allocate are a
-    bad header too.
+    bad header too. A field the loader does not read is ignored.
     """
     check_fields(header, _HEADER_FIELDS, "header", bad)
     for name, cls in (("dims", ModelDims), ("cnn", CnnConfig)):
@@ -126,8 +125,7 @@ def _model_from_header(header, bad):
         model = VqaModel(
             vocab_size=header["vocab_size"], d_emb=header["d_emb"],
             variant=header["variant"], dims=ModelDims(**header["dims"]),
-            cnn_config=CnnConfig(**header["cnn"]),
-            use_bias=header["use_bias"])
+            cnn_config=CnnConfig(**header["cnn"]))
     except (ValueError, MemoryError) as exc:
         raise bad(exc) from exc
     params = model.named_parameters()

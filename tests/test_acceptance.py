@@ -104,7 +104,7 @@ def test_acceptance_1_gradient_fidelity():
 
 
 # ---------------------------------------------------------------------------
-# 2. Eq. 6 equivalence (recursive vs unrolled cascade, biases off)
+# 2. Eq. 6 equivalence (recursive vs unrolled cascade, biases at zero)
 
 def unrolled_cascade(model, q, v):
     """Independent straight-line cascade: product of shortcut maps applied
@@ -135,8 +135,10 @@ def test_acceptance_2_cascaded_equivalence():
         for seed in range(20):
             dims = ModelDims(d_q=3, d_v=4, d_joint=5, n_answers=4,
                              n_blocks=n_blocks)
-            model = MrnModel("b", dims, use_bias=False)
-            init_params(model.named_parameters(), 0.5, seed)
+            model = MrnModel("b", dims)
+            # biases stay at zero: the bias-free cascade of Eq. 6
+            init_params({k: t for k, t in model.named_parameters().items()
+                         if t.ndim == 2}, 0.5, seed)
             rng = np.random.default_rng(1000 + seed)
             q = rng.standard_normal((2, 3))
             v = rng.standard_normal((2, 4))

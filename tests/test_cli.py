@@ -141,12 +141,33 @@ def test_config_file_supplies_required_data(workdir, tmp_path):
     assert (eout / "report.csv").exists()
 
 
-def test_config_file_rejects_bad_version(tmp_path):
+def test_config_file_rejects_bad_version(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("config_version=9\n")
-    rc = main(["--config", str(cfg), "gen", "--n", "1",
-               "--out", str(tmp_path)])
+    cfg.write_text("n=1\nconfig_version=9\n")
+    rc = main(["--config", str(cfg), "gen", "--out", str(tmp_path)])
     assert rc == 1
+    assert f"{cfg}:2: unsupported config_version 9" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_names_file_line_and_byte(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"n=1\nout=ab\xffc\n")
+    rc = main(["--config", str(cfg), "gen", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: not UTF-8 text at byte 10" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--seed"), ("viz", "--seed"), ("gradcheck", "--out")])
+def test_flag_the_command_does_not_read_is_rejected(command, flag):
+    args = {"eval": ["--data", "d", "--checkpoint", "c"],
+            "viz": ["--data", "d", "--checkpoint", "c"],
+            "gradcheck": []}[command]
+    with pytest.raises(SystemExit) as info:
+        main([command, *args, flag, "1"])
+    assert info.value.code == 2
 
 
 def test_validation_error_exit_code(workdir, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from mrn import data as data_mod
 from mrn import evaluation
+from mrn.encoders import QuestionBatch
 from mrn.evaluation import EvalReport, caption_postprocess, \
     classify_answer_type, evaluate, multiple_choice_mask, predict, \
     vqa_accuracy
@@ -220,6 +221,30 @@ def test_mc_requires_candidates(toy_ds):
 def test_unknown_protocol(toy_ds):
     with pytest.raises(ValueError):
         evaluate(OracleModel([], []), toy_ds.examples, "open-ended")
+
+
+def test_mc_prediction_is_best_candidate_when_others_underflow(toy_ds):
+    # a finite logit far above every candidate's: softmax underflows each
+    # candidate's probability to 0.0, yet the prediction stays a candidate
+    from mrn.encoders import CnnConfig
+    from mrn.model import ModelDims
+    from mrn.training import init_params
+    from mrn.vqa import VqaModel
+    vocab = toy_ds.answer_vocab
+    model = VqaModel(vocab_size=len(toy_ds.question_vocab), d_emb=4,
+                     dims=ModelDims(d_q=8, d_v=8, d_joint=8,
+                                    n_answers=len(vocab), n_blocks=1),
+                     cnn_config=CnnConfig(channels1=2, channels2=2, d_out=8))
+    init_params(model.named_parameters(), 0.08, 0)
+    model.mrn.params["cls_b"].data[0] = 1000.0
+    examples = [e for e in toy_ds.examples if 0 not in e.candidates]
+    assert examples
+    preds = evaluation.predict_batch(model, examples, "mc", vocab=vocab)
+    for e, pred in zip(examples, preds):
+        logits = model.predict_logits(e.image[None], QuestionBatch.pad(
+            [e.question]))[0]
+        best = max(e.candidates, key=lambda i: logits[i])
+        assert pred == best
 
 
 def test_mc_at_least_oe_for_random_models(toy_ds):

@@ -15,11 +15,16 @@ from mrn.vqa import VqaModel, load_checkpoint, save_checkpoint
 
 
 def make_model(variant="b", n_blocks=3, d_q=3, d_v=4, d_joint=5, n_answers=4,
-               use_bias=True, seed=0, scale=0.5):
+               zero_biases=False, seed=0, scale=0.5):
+    """A model drawn uniform(-scale, scale); with zero_biases only its
+    weight matrices are drawn, so it computes the paper's bias-free form."""
     dims = ModelDims(d_q=d_q, d_v=d_v, d_joint=d_joint, n_answers=n_answers,
                      n_blocks=n_blocks)
-    model = MrnModel(variant, dims, use_bias)
-    init_params(model.named_parameters(), scale, seed)
+    model = MrnModel(variant, dims)
+    params = model.named_parameters()
+    if zero_biases:
+        params = {k: t for k, t in params.items() if t.ndim == 2}
+    init_params(params, scale, seed)
     return model
 
 
@@ -33,7 +38,7 @@ def rand_qv(model, rng, bsz=2):
 # joint_residual
 
 def test_residual_zero_question_zero_bias():
-    model = make_model(use_bias=False)
+    model = make_model(zero_biases=True)
     blk = model.blocks[0]
     q = Tensor(np.zeros((1, 3)))
     v = Tensor(np.random.default_rng(0).standard_normal((1, 4)))
@@ -54,7 +59,7 @@ def test_residual_zero_weights():
 
 def test_residual_hand_scalar_oracle():
     # 2-dim instance with identity maps, checked by scalar tanh arithmetic
-    model = make_model(variant="b", d_q=2, d_v=2, d_joint=2, use_bias=False)
+    model = make_model(variant="b", d_q=2, d_v=2, d_joint=2, zero_biases=True)
     blk = model.blocks[0]
     eye = np.eye(2)
     for name in ("w_q", "w_v1", "w_v2"):
@@ -182,7 +187,8 @@ def unrolled_oracle(model, q, v):
 @pytest.mark.parametrize("n_blocks", [1, 2, 3])
 def test_cascaded_form_equivalence(n_blocks):
     for seed in range(20):
-        model = make_model("b", n_blocks=n_blocks, use_bias=False, seed=seed)
+        model = make_model("b", n_blocks=n_blocks, zero_biases=True,
+                           seed=seed)
         rng = np.random.default_rng(100 + seed)
         q = rng.standard_normal((2, model.dims.d_q))
         v = rng.standard_normal((2, model.dims.d_v))
@@ -441,9 +447,6 @@ def _edit_params(edit):
     pytest.param(lambda h: _with(h, vocab_size=True),
                  "header field 'vocab_size' should be int",
                  id="<lambda>-field 'vocab_size' has type bool"),
-    pytest.param(lambda h: _with(h, use_bias=1),
-                 "header field 'use_bias' should be bool",
-                 id="<lambda>-field 'use_bias' has type int, expected bool"),
     pytest.param(lambda h: _with(h, params={}),
                  "header field 'params' should be list",
                  id="<lambda>-field 'params' has type dict"),
@@ -484,13 +487,64 @@ def test_checkpoint_bad_header_names_field(tmp_path, edit, message):
         d_q=4, d_v=5, d_joint=5, n_answers=4, n_blocks=1))
     path = os.path.join(tmp_path, "m.ckpt")
     save_checkpoint(model, path)
+    _edit_header(path, edit)
+    with pytest.raises(FormatError, match="bad header at byte 16: "
+                       + message) as info:
+        load_checkpoint(path)
+    assert str(info.value).endswith(f" in {path}")
+
+
+def _edit_header(path, edit):
+    """Replace the checkpoint header h at path by edit(h)."""
     blob = open(path, "rb").read()
     hlen = int.from_bytes(blob[8:16], "little")
     hb = json.dumps(edit(json.loads(blob[16:16 + hlen]))).encode()
     with open(path, "wb") as f:
         f.write(blob[:8] + len(hb).to_bytes(8, "little") + hb
                 + blob[16 + hlen:])
-    with pytest.raises(FormatError, match="bad header at byte 16: "
-                       + message) as info:
+
+
+def test_checkpoint_with_use_bias_true_loads_same_parameters(tmp_path):
+    # checkpoints written while biases were optional carry "use_bias": true
+    model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
+        d_q=4, d_v=5, d_joint=5, n_answers=4, n_blocks=2))
+    init_params(model.named_parameters(), 0.4, 3)
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(model, path)
+    _edit_header(path, lambda h: _with(h, use_bias=True))
+    loaded = load_checkpoint(path).named_parameters()
+    params = model.named_parameters()
+    assert sorted(loaded) == sorted(params)
+    for name, t in params.items():
+        assert loaded[name].data.tobytes() == t.data.tobytes()
+
+
+def test_bias_free_checkpoint_names_first_missing_bias(tmp_path, capsys):
+    # the layout a model built without block and classifier biases was
+    # saved in: "use_bias": false, and no mrn bias in the manifest
+    from mrn import container
+    from mrn import data as data_mod
+    from mrn.cli import main
+    from mrn.vqa import CKPT_MAGIC
+    model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
+        d_q=4, d_v=5, d_joint=5, n_answers=4, n_blocks=1))
+    params = model.named_parameters()
+    names = [n for n in sorted(params)
+             if not (n.startswith("mrn.") and params[n].ndim == 1)]
+    header = {"vocab_size": 6, "d_emb": 3, "variant": "b", "use_bias": False,
+              "dims": vars(model.dims), "cnn": vars(model.cnn.config),
+              "params": [{"name": n, "shape": list(params[n].shape)}
+                         for n in names]}
+    path = str(tmp_path / "m.ckpt")
+    container.write(path, CKPT_MAGIC, header, [params[n].data for n in names])
+    message = "parameter 'mrn.block1.b_q' is missing from the manifest"
+    with pytest.raises(FormatError) as info:
         load_checkpoint(path)
-    assert str(info.value).endswith(f" in {path}")
+    assert str(info.value) == f"bad header at byte 16: {message} in {path}"
+    data = str(tmp_path / "ds.mrnd")
+    data_mod.save(data_mod.generate(3, 20), data)
+    rc = main(["eval", "--data", data, "--checkpoint", path, "--out",
+               str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -9,8 +9,8 @@ from mrn.autodiff import Tensor
 from mrn.encoders import CnnConfig
 from mrn.gradcheck import tiny_batch, tiny_model
 from mrn.model import ModelDims
-from mrn.training import NumericalError, TrainConfig, dropout, init_params, \
-    rmsprop_step, train
+from mrn.training import RMSPROP_DECAY, RMSPROP_EPS, NumericalError, \
+    TrainConfig, dropout, init_params, rmsprop_step, train
 from mrn.vqa import VqaModel
 
 
@@ -58,18 +58,18 @@ def test_rmsprop_zero_gradient_keeps_params():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.zeros(2)
     state = {"p": np.array([4.0, 4.0])}
-    rmsprop_step({"p": p}, state, lr=0.1, decay=0.5)
+    rmsprop_step({"p": p}, state, lr=0.1)
     assert p.data.tolist() == [1.0, -2.0]
-    assert state["p"].tolist() == [2.0, 2.0]  # decayed
+    assert state["p"].tolist() == [RMSPROP_DECAY * 4.0] * 2  # decayed
 
 
 def test_rmsprop_scalar_hand_step():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([2.0])
     state = {}
-    rmsprop_step({"p": p}, state, lr=0.1, decay=0.9, eps=1e-8)
-    s = 0.1 * 4.0
-    expect = 1.0 - 0.1 * 2.0 / (np.sqrt(s) + 1e-8)
+    rmsprop_step({"p": p}, state, lr=0.1)
+    s = (1.0 - RMSPROP_DECAY) * 4.0
+    expect = 1.0 - 0.1 * 2.0 / (np.sqrt(s) + RMSPROP_EPS)
     assert p.data[0] == pytest.approx(expect, rel=1e-15)
 
 
@@ -79,7 +79,7 @@ def test_rmsprop_constant_gradient_fixed_point():
     for _ in range(2000):
         p.grad = np.array([3.0])
         before = p.data.copy()
-        rmsprop_step({"p": p}, state, lr=0.01, decay=0.9)
+        rmsprop_step({"p": p}, state, lr=0.01)
     # update magnitude approaches lr * g / |g| as s -> g^2
     assert abs(before[0] - p.data[0]) == pytest.approx(0.01, rel=1e-6)
 

@@ -209,7 +209,7 @@ def test_mask_never_covers_everything():
 def test_overlay_brightens_only_masked():
     img = np.full((3, 2, 2), 0.8)
     mask = np.array([[True, False], [False, False]])
-    out = overlay_image(img, mask, dim=0.35)
+    out = overlay_image(img, mask)
     assert out[0, 0, 0] == pytest.approx(0.8)
     assert out[0, 0, 1] == pytest.approx(0.8 * 0.35)
 
