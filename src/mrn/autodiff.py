@@ -3,11 +3,12 @@
 Micrograd-style design: every op builds a node holding its parents and a
 closure ``_backward(g)`` that pushes the output gradient g back to them.
 ``backward()`` walks the graph once in reverse topological order, passing
-each node its own ``.grad``. Gradients accumulate additively across fan-out:
-a tensor keeps its first contribution as given and adds later ones into it
-in place. So a backward hands each parent either a fresh array or its own
-output's gradient (or a view of it), which the walk has finished with, and
-never one array to two parents.
+each node its own ``.grad``; only leaves keep theirs after the walk.
+Gradients accumulate additively across fan-out: a tensor keeps its first
+contribution as given and adds later ones into it in place. So a backward
+hands each parent either a fresh array or its own output's gradient (or a
+view of it), which the walk has finished with, and never one array to two
+parents.
 
 A closure captures its parents and arrays, never its own output node, so a
 graph holds no reference cycle: it is freed by reference counting as soon
@@ -68,7 +69,11 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Populate .grad of every requires_grad ancestor of this scalar."""
+        """Populate .grad of every requires_grad leaf under this scalar.
+
+        An interior node's gradient is dropped once its backward has run,
+        so a walk holds only the gradients still to be pushed back.
+        """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(
                 f"backward() needs a scalar, got shape {self.data.shape}")
@@ -79,8 +84,8 @@ class Tensor:
             node, done = stack.pop()
             if done:
                 if node._parents:
-                    # an interior gradient is this walk's alone; a second
-                    # backward through the graph must not add it in again
+                    # an interior gradient is this walk's alone, even after
+                    # a walk that raised before freeing it
                     node.grad = None
                 topo.append(node)
                 continue
@@ -95,6 +100,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -304,7 +311,7 @@ def softmax_cross_entropy(logits, targets):
 # ---------------------------------------------------------------------------
 # convolution / pooling (kernels module does the heavy lifting)
 
-def conv2d(x, w, b=None, padding=1):
+def conv2d(x, w, b, padding=1):
     """x: (B, C, H, W), w: (O, C, kh, kw), b: (O,). Stride 1."""
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: shapes {x.shape} and {w.shape}")
@@ -313,10 +320,8 @@ def conv2d(x, w, b=None, padding=1):
     xp = np.zeros((bsz, c, h + 2 * pad, wd + 2 * pad))
     xp[:, :, pad:pad + h, pad:pad + wd] = x.data
     y = kernels.conv2d_forward(xp, w.data)
-    if b is not None:
-        y += b.data[None, :, None, None]   # y is the kernel's fresh output
-    parents = (x, w) if b is None else (x, w, b)
-    out = Tensor(y, _parents=parents)
+    y += b.data[None, :, None, None]   # y is the kernel's fresh output
+    out = Tensor(y, _parents=(x, w, b))
 
     def _bw(g):
         gxp, gw = kernels.conv2d_backward(xp, w.data, g, x.requires_grad,
@@ -325,7 +330,7 @@ def conv2d(x, w, b=None, padding=1):
             x._accum(gxp[:, :, pad:pad + h, pad:pad + wd])
         if w.requires_grad:
             w._accum(gw)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._accum(g.sum(axis=(0, 2, 3)))
     out._backward = _bw if out.requires_grad else None
     return out

@@ -27,6 +27,14 @@ class ValidationError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other validation errors, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def load_config_file(path):
     values = {}
     with open(path, "rb") as f:
@@ -53,7 +61,7 @@ def load_config_file(path):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="mrn", description=__doc__)
+    p = _Parser(prog="mrn", description=__doc__)
     p.add_argument("--config", help="key=value defaults for the "
                    "subcommand's flags; flags override it")
     sub = p.add_subparsers(dest="command", required=True)
@@ -342,7 +350,7 @@ def _parse_with_config(parser, argv):
     option of the subcommand, or a value its option rejects, raises
     ValidationError naming the file and the key.
     """
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre = _Parser(prog=parser.prog, add_help=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
     sp = parser.subcommands.get(rest[0]) if known.config and rest else None

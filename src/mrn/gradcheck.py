@@ -88,7 +88,7 @@ def check_full_model(seed=0):
     params = model.named_parameters()
 
     def loss_value():
-        _, logits = model.forward(images, batch)
+        _, logits = model.forward(model.features(images), batch)
         return ad.softmax_cross_entropy(logits, targets)
 
     loss = loss_value()

@@ -70,17 +70,24 @@ def init_params(named_params, init_range, seed):
 
 def rmsprop_step(named_params, state, lr):
     """s <- decay*s + (1-decay)*g^2;  p <- p - lr*g/(sqrt(s)+eps), with
-    decay RMSPROP_DECAY and eps RMSPROP_EPS."""
+    decay RMSPROP_DECAY and eps RMSPROP_EPS. s and p are updated in place,
+    in the formula's operation order."""
     for name, t in named_params.items():
         g = t.grad
         if g is None:
             g = np.zeros_like(t.data)
         s = state.get(name)
         if s is None:
-            s = np.zeros_like(t.data)
-        s = RMSPROP_DECAY * s + (1.0 - RMSPROP_DECAY) * g * g
-        state[name] = s
-        t.data = t.data - lr * g / (np.sqrt(s) + RMSPROP_EPS)
+            s = state[name] = np.zeros_like(t.data)
+        s *= RMSPROP_DECAY
+        g2 = (1.0 - RMSPROP_DECAY) * g
+        g2 *= g
+        s += g2
+        denom = np.sqrt(s)
+        denom += RMSPROP_EPS
+        step = lr * g
+        step /= denom
+        t.data -= step
 
 
 def make_dropout_mask(shape, rate, rng):
@@ -108,11 +115,36 @@ class TrainResult:
     train_losses: list = field(default_factory=list)
 
 
-def _batch_arrays(dataset, idx):
-    examples = [dataset[i] for i in idx]
-    images = np.stack([e.image for e in examples])
+def _loss_and_backward(model, examples, v, input_dropout, joint_dropout,
+                       it):
+    """Loss of one mini-batch as a float, after its backward.
+
+    v holds the batch's features, or is None to run the CNN on the tape.
+    The graph is freed on return, before the next one is built.
+    """
+    if v is None:
+        v = model.features(np.stack([e.image for e in examples]))
+    else:
+        v = Tensor(v)
+    _, logits = model.forward(
+        v, QuestionBatch.pad([e.question for e in examples]),
+        input_dropout=input_dropout, joint_dropout=joint_dropout)
     targets = np.array([e.answer_id for e in examples], dtype=np.int64)
-    return images, QuestionBatch.pad([e.question for e in examples]), targets
+    loss = ad.softmax_cross_entropy(logits, targets)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NumericalError(f"non-finite loss at iteration {it}")
+    loss.backward()
+    return value
+
+
+def _all_finite(params):
+    # one reduction; a sum of finite values can overflow, so a non-finite
+    # sum is confirmed parameter by parameter
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(float(t.data.sum()) for t in params)
+    return (math.isfinite(total)
+            or all(np.isfinite(t.data).all() for t in params))
 
 
 def train(model, train_set, config, val_set=None, evaluate_fn=None,
@@ -122,7 +154,9 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
     evaluate_fn(model, val_set) -> EvalReport is called every eval_every
     iterations when a validation set is given; its per-type accuracies go
     into the metrics rows. initialize=False keeps the caller's parameter
-    values instead of drawing fresh ones.
+    values instead of drawing fresh ones. With freeze_cnn the train split's
+    features are computed once, before the first step; no dropout touches
+    them, so each step reads the same v as a CNN run on its batch.
     """
     config.validate()
     if not train_set:
@@ -133,6 +167,8 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
     params = model.named_parameters(include_cnn=not config.freeze_cnn)
     if initialize:
         init_params(model.named_parameters(), INIT_RANGE, config.seed)
+    v_all = (model.fixed_features([e.image for e in train_set])
+             if config.freeze_cnn else None)
     state = {}
     rng_data = np.random.default_rng((config.seed, 1))
     rng_drop = np.random.default_rng((config.seed, 2))
@@ -142,7 +178,6 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
         if len(order) < config.batch_size:
             order = list(rng_data.permutation(len(train_set)))
         idx = [order.pop() for _ in range(config.batch_size)]
-        images, qbatch, targets = _batch_arrays(train_set, idx)
         rate = config.dropout_rate
         if rate > 0.0:
             if config.dropout_mode == "bayesian":
@@ -163,20 +198,16 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
 
         for t in params.values():
             t.zero_grad()
-        _, logits = model.forward(
-            images, qbatch, freeze_cnn=config.freeze_cnn,
-            input_dropout=input_dropout, joint_dropout=joint_dropout)
-        loss = ad.softmax_cross_entropy(logits, targets)
-        if not np.isfinite(loss.item()):
-            raise NumericalError(f"non-finite loss at iteration {it}")
-        loss.backward()
+        loss = _loss_and_backward(
+            model, [train_set[i] for i in idx],
+            None if v_all is None else v_all[idx],
+            input_dropout, joint_dropout, it)
         rmsprop_step(params, state, config.learning_rate)
-        for t in params.values():
-            if not np.all(np.isfinite(t.data)):
-                raise NumericalError(f"non-finite parameter at iteration {it}")
-        result.train_losses.append(loss.item())
+        if not _all_finite(params.values()):
+            raise NumericalError(f"non-finite parameter at iteration {it}")
+        result.train_losses.append(loss)
         if it % config.eval_every == 0 or it == config.iterations:
-            row = {"iteration": it, "train_loss": loss.item()}
+            row = {"iteration": it, "train_loss": loss}
             if val_set is not None and evaluate_fn is not None:
                 report = evaluate_fn(model, val_set)
                 row.update({

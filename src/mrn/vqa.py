@@ -10,9 +10,12 @@ shapes. Round-trips are bit-exact.
 
 import dataclasses
 
+import numpy as np
+
 # cnn_forward is looked up through its module at call time, so a wrapper set
 # on encoders.cnn_forward (a profiler, a test double) applies here too
 from . import container, encoders
+from .autodiff import Tensor
 from .container import check_fields
 from .encoders import CnnConfig, GruEncoder, ToyCnn, gru_forward_trimzero
 # not called here; mrnbench/spans.py wraps this module's gru_forward name
@@ -20,6 +23,11 @@ from .encoders import gru_forward  # noqa: F401
 from .model import ConfigError, ModelDims, MrnModel, mrn_forward
 
 CKPT_MAGIC = b"MRNCKPT1"
+# Images per CNN call when features are computed without gradients. A CNN
+# call keeps its conv activations alive until it returns, so peak memory
+# grows with the images per call; 8 already spread the per-call overhead
+# without raising the peak.
+FEATURE_SLICE = 8
 
 
 class VqaModel:
@@ -50,16 +58,31 @@ class VqaModel:
             out[f"mrn.{k}"] = t
         return out
 
-    def forward(self, images, batch, freeze_cnn=False, input_dropout=None,
-                joint_dropout=None):
-        """images (B,C,H,W) array or Tensor; batch: QuestionBatch."""
+    def features(self, images):
+        """v = CNN(images) for (B,C,H,W) images, a tape node whose gradient
+        reaches the CNN weights."""
+        return encoders.cnn_forward(images, self.cnn)
+
+    def fixed_features(self, images):
+        """(n, d_v) array of v for n images, read through constant CNN
+        weights FEATURE_SLICE images per CNN call; images is an array or a
+        sequence of (C,H,W) images."""
+        return np.concatenate([
+            encoders.cnn_forward(images[i:i + FEATURE_SLICE], self.cnn,
+                                 freeze=True).data
+            for i in range(0, len(images), FEATURE_SLICE)])
+
+    def forward(self, v, batch, input_dropout=None, joint_dropout=None):
+        """(H_L, logits) of the fusion stack on features v (a (B, d_v)
+        Tensor) and the questions of batch, a QuestionBatch."""
         q = gru_forward_trimzero(batch, self.gru, input_dropout=input_dropout)
-        v = encoders.cnn_forward(images, self.cnn, freeze=freeze_cnn)
         return mrn_forward(q, v, self.mrn, joint_dropout=joint_dropout)
 
     def predict_logits(self, images, batch):
-        _, logits = self.forward(images, batch)
-        return logits.data
+        """(B, n_answers) logits array for (B,C,H,W) images and a batch of
+        B questions, from one question/fusion forward over all B rows."""
+        v = Tensor(self.fixed_features(images))
+        return self.forward(v, batch)[1].data
 
 
 def save_checkpoint(model, path):

@@ -156,6 +156,26 @@ def test_second_backward_adds_one_more_gradient():
     assert x.grad.tolist() == [6.0, 8.0]
 
 
+def test_backward_leaves_gradients_on_leaves_only():
+    from mrn.gradcheck import tiny_batch, tiny_model
+    model = tiny_model(seed=2)
+    images, batch, targets = tiny_batch(seed=2)
+    logits = model.forward(model.features(images), batch)[1]
+    loss = ad.softmax_cross_entropy(logits, targets)
+    loss.backward()
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    interior = [n for n in nodes.values() if n._parents]
+    leaves = [n for n in nodes.values() if not n._parents and n.requires_grad]
+    assert len(interior) > 50
+    assert all(n.grad is None for n in interior)
+    assert all(n.grad is not None for n in leaves)
+
+
 def test_unreachable_tensor_has_no_grad():
     x = Tensor([1.0], requires_grad=True)
     y = Tensor([1.0], requires_grad=True)
@@ -263,7 +283,7 @@ def test_model_step_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        logits = model.forward(images, batch)[1]
+        logits = model.forward(model.features(images), batch)[1]
         ad.softmax_cross_entropy(logits, targets).backward()
         del logits
         leftover = gc.collect()

@@ -165,9 +165,27 @@ def test_flag_the_command_does_not_read_is_rejected(command, flag):
     args = {"eval": ["--data", "d", "--checkpoint", "c"],
             "viz": ["--data", "d", "--checkpoint", "c"],
             "gradcheck": []}[command]
-    with pytest.raises(SystemExit) as info:
-        main([command, *args, flag, "1"])
-    assert info.value.code == 2
+    assert main([command, *args, flag, "1"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--data", "d", "--bogus"], "unrecognized arguments: --bogus"),
+    (["train", "--data", "d", "--variant", "zz"],
+     "argument --variant: invalid choice: 'zz'"),
+    (["train", "--data", "d", "--iters", "abc"],
+     "argument --iters: invalid int value: 'abc'"),
+    (["eval", "--data", "d"],
+     "the following arguments are required: --checkpoint"),
+    ([], "the following arguments are required: command"),
+    (["--config"], "argument --config: expected one argument"),
+], ids=["unknown-flag", "bad-choice", "bad-type", "missing-required",
+        "no-command", "config-without-path"])
+def test_usage_error_exit_code(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage: mrn" in err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_validation_error_exit_code(workdir, tmp_path):

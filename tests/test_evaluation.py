@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrn import data as data_mod
 from mrn import evaluation
 from mrn.encoders import QuestionBatch
-from mrn.evaluation import EvalReport, caption_postprocess, \
+from mrn.evaluation import ANSWER_TYPES, EvalReport, caption_postprocess, \
     classify_answer_type, evaluate, multiple_choice_mask, predict, \
     vqa_accuracy
 
@@ -143,8 +144,8 @@ def test_caption_property_random():
 # report aggregation
 
 def test_aggregation_weighted_mean_exact():
-    scores = {"Y/N": [1.0, 0.0], "Number": [1 / 3], "Other": [2 / 3, 1.0, 0.0]}
-    report = EvalReport.aggregate("oe", scores)
+    thirds = {"Y/N": [3, 0], "Number": [1], "Other": [2, 3, 0]}
+    report = EvalReport.aggregate("oe", thirds)
     expect = (Fraction(3, 3) + Fraction(1, 3) + Fraction(2, 3)
               + Fraction(3, 3)) / 6
     assert report.overall == pytest.approx(float(expect), abs=1e-15)
@@ -152,6 +153,35 @@ def test_aggregation_weighted_mean_exact():
     weighted = sum(report.per_type[t] * report.counts[t]
                    for t in report.per_type) / 6
     assert report.overall == pytest.approx(weighted, abs=1e-12)
+
+
+def _fraction_aggregate(scores_by_type):
+    """The float-score aggregation that thirds replaced, kept as an oracle."""
+    per_type, total, n = {}, Fraction(0), 0
+    for t in ANSWER_TYPES:
+        scores = scores_by_type.get(t, [])
+        if scores:
+            s = sum(Fraction(x).limit_denominator(3) for x in scores)
+            per_type[t] = float(s / len(scores))
+            total += s
+            n += len(scores)
+    return per_type, float(total / n) if n else 0.0
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from(ANSWER_TYPES),
+                       st.lists(st.integers(0, 10), max_size=300)))
+def test_thirds_aggregation_equals_fraction_aggregation(matches):
+    humans = {t: [humans_with_k_matches(k) for k in ks]
+              for t, ks in matches.items()}
+    scores = {t: [vqa_accuracy("cat", h) for h in hs]
+              for t, hs in humans.items()}
+    thirds = {t: [round(3 * x) for x in xs] for t, xs in scores.items()}
+    report = EvalReport.aggregate("oe", thirds)
+    per_type, overall = _fraction_aggregate(scores)
+    assert report.per_type == per_type
+    assert report.overall == overall
+    assert report.counts == {t: len(thirds.get(t, [])) for t in ANSWER_TYPES}
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +295,34 @@ def test_mc_at_least_oe_for_random_models(toy_ds):
         assert mc.overall >= oe.overall
 
 
-@pytest.mark.parametrize("protocol", ["oe", "mc"])
-@pytest.mark.parametrize("postprocess", [False, True])
-def test_batched_evaluate_matches_one_row_predict(protocol, postprocess,
-                                                  monkeypatch):
+@pytest.fixture(scope="module")
+def trained():
+    """A small model trained on generate(2, 90), and that dataset."""
     from mrn.encoders import CnnConfig
     from mrn.model import ModelDims
     from mrn.training import TrainConfig, train
     from mrn.vqa import VqaModel
     ds = data_mod.generate(2, 90)
-    vocab = ds.answer_vocab
-    dims = ModelDims(d_q=8, d_v=8, d_joint=8, n_answers=len(vocab),
+    dims = ModelDims(d_q=8, d_v=8, d_joint=8, n_answers=len(ds.answer_vocab),
                      n_blocks=2)
     model = VqaModel(vocab_size=len(ds.question_vocab), d_emb=4, dims=dims,
                      cnn_config=CnnConfig(channels1=2, channels2=2, d_out=8))
     train(model, ds.split("train"), TrainConfig(
         batch_size=8, iterations=40, learning_rate=3e-3, seed=2))
-    examples = ds.split("val") + ds.split("test")
-    assert len(examples) % evaluation.EVAL_BATCH != 0
+    return model, ds
+
+
+@pytest.mark.parametrize("protocol", ["oe", "mc"])
+@pytest.mark.parametrize("postprocess", [False, True])
+def test_batched_evaluate_matches_one_row_predict(protocol, postprocess,
+                                                  monkeypatch, trained):
+    model, ds = trained
+    vocab = ds.answer_vocab
+    # every example: 90 = 64 + 26 crosses a batch boundary, and is not a
+    # multiple of the CNN's slice of 8 images
+    examples = ds.examples
+    assert len(examples) > evaluation.EVAL_BATCH
+    assert len(examples) % 8 != 0
 
     batched = []
     real = evaluation.predict_batch
@@ -296,7 +336,8 @@ def test_batched_evaluate_matches_one_row_predict(protocol, postprocess,
     report = evaluate(model, examples, protocol, postprocess, vocab)
     monkeypatch.undo()
     sizes = [n for n, _ in batched]
-    assert max(sizes) == evaluation.EVAL_BATCH and sum(sizes) == len(examples)
+    assert sizes == [evaluation.EVAL_BATCH,
+                     len(examples) - evaluation.EVAL_BATCH]
     ids = [i for _, chunk_ids in batched for i in chunk_ids]
     one_row = [predict(model, e, protocol, postprocess, vocab)
                for e in examples]
@@ -305,3 +346,28 @@ def test_batched_evaluate_matches_one_row_predict(protocol, postprocess,
                           for i, e in zip(one_row, examples)),
                       3 * len(examples))
     assert report.overall == float(expect)
+
+
+@pytest.mark.parametrize("n", [1, 8, 26, 50, 64])
+def test_one_fusion_forward_over_cnn_slices_of_8(n, monkeypatch, trained):
+    from mrn import encoders
+    from mrn.vqa import FEATURE_SLICE, VqaModel
+    model, ds = trained
+    cnn_rows, forwards = [], []
+    real_cnn, real_forward = encoders.cnn_forward, VqaModel.forward
+
+    def cnn_spy(image, cnn, freeze=False):
+        cnn_rows.append(len(image))
+        assert freeze
+        return real_cnn(image, cnn, freeze)
+
+    def forward_spy(self, v, batch, **kwargs):
+        forwards.append(v.shape[0])
+        return real_forward(self, v, batch, **kwargs)
+
+    monkeypatch.setattr(encoders, "cnn_forward", cnn_spy)
+    monkeypatch.setattr(VqaModel, "forward", forward_spy)
+    evaluate(model, ds.examples[:n], "mc", True, ds.answer_vocab)
+    assert len(cnn_rows) == -(-n // FEATURE_SLICE) and sum(cnn_rows) == n
+    assert max(cnn_rows) <= FEATURE_SLICE == 8
+    assert forwards == [n]

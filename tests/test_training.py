@@ -1,12 +1,14 @@
+import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mrn import data as data_mod
-from mrn import kernels, training
+from mrn import encoders, kernels, training
 from mrn.autodiff import Tensor
-from mrn.encoders import CnnConfig
+from mrn.encoders import CnnConfig, QuestionBatch
 from mrn.gradcheck import tiny_batch, tiny_model
 from mrn.model import ModelDims
 from mrn.training import RMSPROP_DECAY, RMSPROP_EPS, NumericalError, \
@@ -71,6 +73,31 @@ def test_rmsprop_scalar_hand_step():
     s = (1.0 - RMSPROP_DECAY) * 4.0
     expect = 1.0 - 0.1 * 2.0 / (np.sqrt(s) + RMSPROP_EPS)
     assert p.data[0] == pytest.approx(expect, rel=1e-15)
+
+
+def test_rmsprop_in_place_equals_formula_bitwise():
+    rng = np.random.default_rng(3)
+    params = {"a": Tensor(rng.standard_normal((4, 3)), requires_grad=True),
+              "b": Tensor(rng.standard_normal(5), requires_grad=True)}
+    expect = {k: t.data.copy() for k, t in params.items()}
+    arrays = {k: t.data for k, t in params.items()}
+    state, s_expect = {}, {k: np.zeros_like(t.data) for k, t in params.items()}
+    for step in range(20):
+        for k, t in params.items():
+            # b has no gradient on some steps, which counts as zero
+            scale = 10.0 ** (step % 5 - 2)
+            t.grad = (None if k == "b" and step % 3 == 0
+                      else rng.standard_normal(t.shape) * scale)
+            g = np.zeros_like(t.data) if t.grad is None else t.grad
+            s_expect[k] = (RMSPROP_DECAY * s_expect[k]
+                           + (1.0 - RMSPROP_DECAY) * g * g)
+            expect[k] = expect[k] - 0.01 * g / (np.sqrt(s_expect[k])
+                                                + RMSPROP_EPS)
+        rmsprop_step(params, state, lr=0.01)
+        for k, t in params.items():
+            assert t.data.tobytes() == expect[k].tobytes()
+            assert state[k].tobytes() == s_expect[k].tobytes()
+            assert t.data is arrays[k]
 
 
 def test_rmsprop_constant_gradient_fixed_point():
@@ -221,8 +248,9 @@ def test_overfits_tiny_set():
     cfg = TrainConfig(iterations=700, batch_size=16, learning_rate=3e-3,
                       dropout_rate=0.0, seed=4, eval_every=1000)
     train(model, ds.examples, cfg)
-    from mrn.training import _batch_arrays
-    images, batch, targets = _batch_arrays(ds.examples, list(range(50)))
+    images = np.stack([e.image for e in ds.examples])
+    batch = QuestionBatch.pad([e.question for e in ds.examples])
+    targets = np.array([e.answer_id for e in ds.examples])
     preds = model.predict_logits(images, batch).argmax(axis=1)
     assert np.mean(preds == targets) == 1.0
 
@@ -262,3 +290,99 @@ def test_nonfinite_loss_names_iteration(toy_ds):
     cfg = TrainConfig(iterations=3, batch_size=4, seed=1, eval_every=100)
     with pytest.raises(NumericalError, match="iteration 1"):
         train(model, toy_ds.split("train"), cfg, initialize=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_injected_non_finite_parameter_names_iteration(toy_ds, monkeypatch,
+                                                       bad):
+    real = training.rmsprop_step
+    calls = []
+
+    def inject(named_params, state, lr):
+        real(named_params, state, lr)
+        calls.append(1)
+        if len(calls) == 3:
+            named_params["mrn.cls_b"].data[1] = bad
+
+    monkeypatch.setattr(training, "rmsprop_step", inject)
+    cfg = TrainConfig(iterations=5, batch_size=4, seed=1, eval_every=100)
+    with pytest.raises(NumericalError,
+                       match="non-finite parameter at iteration 3"):
+        train(small_model(), toy_ds.split("train"), cfg)
+
+
+def test_finite_parameters_whose_sum_overflows_pass(toy_ds, monkeypatch):
+    real = training.rmsprop_step
+
+    def inflate(named_params, state, lr):
+        real(named_params, state, lr)
+        for name in ("mrn.cls_b", "gru.b_z"):
+            named_params[name].data[:] = 1e308
+
+    monkeypatch.setattr(training, "rmsprop_step", inflate)
+    cfg = TrainConfig(iterations=1, batch_size=4, seed=1, eval_every=100)
+    result = train(small_model(), toy_ds.split("train"), cfg)
+    assert len(result.train_losses) == 1
+
+
+def test_previous_graph_is_freed_before_the_next_forward(toy_ds,
+                                                         monkeypatch):
+    # the logits' array lives exactly as long as the logits node; the
+    # loss node's backward keeps that node alive while the loss lives
+    real = VqaModel.forward
+    refs = []
+
+    def spy(self, *args, **kwargs):
+        assert all(r() is None for r in refs)
+        out = real(self, *args, **kwargs)
+        refs.append(weakref.ref(out[1].data))
+        return out
+
+    monkeypatch.setattr(VqaModel, "forward", spy)
+    cfg = TrainConfig(iterations=4, batch_size=4, seed=2, eval_every=100)
+    train(small_model(), toy_ds.split("train"), cfg)
+    assert len(refs) == 4
+
+
+@pytest.mark.parametrize("iterations", [3, 12])
+def test_frozen_cnn_features_computed_once_per_run(toy_ds, monkeypatch,
+                                                   iterations):
+    real = encoders.cnn_forward
+    calls = []
+
+    def spy(image, cnn, freeze=False):
+        calls.append((len(image), freeze))
+        return real(image, cnn, freeze)
+
+    monkeypatch.setattr(encoders, "cnn_forward", spy)
+    train_set = toy_ds.split("train")
+    cfg = TrainConfig(iterations=iterations, batch_size=4, seed=3,
+                      freeze_cnn=True, eval_every=100)
+    train(small_model(), train_set, cfg)
+    assert len(calls) == math.ceil(len(train_set) / 8)
+    assert sum(n for n, _ in calls) == len(train_set)
+    assert all(freeze for _, freeze in calls)
+
+
+def test_frozen_cnn_loss_trace_matches_per_step_features(toy_ds,
+                                                         monkeypatch):
+    class PerStep:
+        """Rows of v computed by one CNN call on each step's batch."""
+
+        def __init__(self, model, images):
+            self.model, self.images = model, images
+
+        def __getitem__(self, idx):
+            images = np.stack([self.images[i] for i in idx])
+            return encoders.cnn_forward(images, self.model.cnn,
+                                        freeze=True).data
+
+    train_set = toy_ds.split("train")
+    cfg = TrainConfig(iterations=30, batch_size=8, seed=4, freeze_cnn=True,
+                      eval_every=100)
+    once = train(small_model(), train_set, cfg).train_losses
+    monkeypatch.setattr(VqaModel, "fixed_features",
+                        lambda self, images: PerStep(self, images))
+    per_step = train(small_model(), train_set, cfg).train_losses
+    assert len(once) == len(per_step) == 30
+    np.testing.assert_allclose(once, per_step, rtol=1e-12, atol=0)
