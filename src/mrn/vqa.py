@@ -25,8 +25,10 @@ from .model import ConfigError, ModelDims, MrnModel, mrn_forward
 CKPT_MAGIC = b"MRNCKPT1"
 # Images per CNN call when features are computed without gradients. A CNN
 # call keeps its conv activations alive until it returns, so peak memory
-# grows with the images per call; 8 already spread the per-call overhead
-# without raising the peak.
+# grows with the images per call. Measured on one 64-example evaluate (2
+# vCPUs, one BLAS thread, tracemalloc peak): slices of 8 took 14.7 ms and
+# peaked at 4.4 MB, one 64-image call 22.6 ms and 16.8 MB, with 16 and 32
+# in between; 4 peaked at 3.5 MB in the same time within noise.
 FEATURE_SLICE = 8
 
 
