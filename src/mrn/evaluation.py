@@ -100,10 +100,10 @@ def predict_batch(model, examples, protocol="oe", postprocess=False,
     order of the logits, so it is not taken.
     """
     vocab = vocab if vocab is not None else _default_vocab()
-    images = np.stack([e.image for e in examples])
     batch = QuestionBatch.pad([e.question for e in examples])
     preds = []
-    for e, logits in zip(examples, model.predict_logits(images, batch)):
+    for e, logits in zip(examples, model.predict_logits(
+            [e.image for e in examples], batch)):
         if postprocess:
             logits = caption_postprocess(logits, e.caption, vocab)
         if protocol == "mc":

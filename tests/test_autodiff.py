@@ -327,3 +327,19 @@ def test_avgpool_gradient_matches_finite_differences(bsz, c, k, hk, wk, seed):
         lambda t: ad.tsum(ad.mul(ad.tanh(ad.avgpool2d(t, k)), Tensor(r))),
         rng.standard_normal((bsz, c, hk * k, wk * k)))
     assert err < 1e-4
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 3), picks=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_take_rows_repeated_indices_gradient_matches_finite_differences(
+        rows, cols, picks, seed):
+    rng = np.random.default_rng(seed)
+    # more picks than rows forces repeats; each repeat adds its gradient
+    idx = rng.integers(0, rows, size=picks)
+    r = rng.standard_normal((picks, cols)) * 0.1
+    err = check_tensor_grad(
+        lambda t: ad.tsum(ad.mul(ad.tanh(ad.take_rows(t, idx)), Tensor(r))),
+        rng.standard_normal((rows, cols)))
+    assert err < 1e-4
+

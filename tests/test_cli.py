@@ -78,6 +78,42 @@ def test_train_eval_viz_pipeline(workdir, tmp_path):
     assert len(manifest["blocks"]) == 2
 
 
+def test_eval_both_protocols_compute_each_image_once(workdir, tmp_path,
+                                                     monkeypatch):
+    from mrn import encoders
+    out = str(tmp_path / "run")
+    assert main(train_args(workdir, out)) == 0
+    ckpt = os.path.join(out, "model.ckpt")
+    real = encoders.cnn_forward
+    rows = []
+
+    def spy(image, cnn, freeze=False):
+        rows.extend(im.tobytes() for im in image)
+        return real(image, cnn, freeze)
+
+    monkeypatch.setattr(encoders, "cnn_forward", spy)
+    reports = {}
+    for protocol in ("both", "oe", "mc"):
+        eout = str(tmp_path / protocol)
+        rows.clear()
+        assert main(["eval", "--data", str(workdir / "ds.mrnd"),
+                     "--checkpoint", ckpt, "--out", eout, "--protocol",
+                     protocol, "--split", "val"]) == 0
+        reports[protocol] = open(os.path.join(eout, "report.csv"),
+                                 "rb").read()
+        if protocol == "both":
+            both_rows = list(rows)
+    val = data_mod.load(str(workdir / "ds.mrnd")).split("val")
+    distinct = {e.image.tobytes() for e in val}
+    # one CNN row per distinct image across both reports, but for a lone
+    # image in the last slice, which runs as two copies of itself
+    assert set(both_rows) == distinct
+    assert len(both_rows) == len(distinct) + (len(distinct) % 8 == 1)
+    header = reports["oe"].splitlines(keepends=True)[0]
+    assert reports["mc"].startswith(header)
+    assert reports["both"] == reports["oe"] + reports["mc"][len(header):]
+
+
 def test_train_deterministic_artifacts(workdir, tmp_path):
     sums = []
     for name in ("r1", "r2"):

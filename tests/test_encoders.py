@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrn import autodiff as ad
 from mrn.autodiff import Tensor
@@ -193,6 +194,39 @@ def test_step_gradients_match_finite_differences():
         finally:
             enc.params[name] = param
         assert err < 1e-6, name
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(n_active=st.integers(1, 3), carried=st.integers(0, 2),
+       d_emb=st.integers(1, 4), d_hidden=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_step_gradients_match_finite_differences_on_random_shapes(
+        n_active, carried, d_emb, d_hidden, seed):
+    enc = GruEncoder(VOCAB, d_emb, d_hidden)
+    init_params(enc.params, 0.5, seed)
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal((n_active, d_emb))
+    h0 = rng.standard_normal((n_active + carried, d_hidden))
+    # at this loss scale the finite differences' rounding stays far below
+    # the tolerance on near-zero entries, where rel_err divides by 1e-6
+    w0 = rng.standard_normal(h0.shape) * 0.1
+
+    def loss(x, h):
+        return trimzero_step_loss(GruEncoder.step, enc, x, h, w0)
+
+    assert check_tensor_grad(lambda t: loss(t, Tensor(h0)), x0) < 1e-4
+    assert check_tensor_grad(lambda t: loss(Tensor(x0), t), h0) < 1e-4
+    for name in GATE_PARAMS:
+        param = enc.params[name]
+
+        def with_param(t):
+            enc.params[name] = t
+            return loss(Tensor(x0), Tensor(h0))
+        try:
+            err = check_tensor_grad(with_param, param.data)
+        finally:
+            enc.params[name] = param
+        assert err < 1e-4, name
 
 
 def test_step_skips_frozen_parameter_gradients():

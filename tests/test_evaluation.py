@@ -349,15 +349,20 @@ def test_batched_evaluate_matches_one_row_predict(protocol, postprocess,
 
 
 @pytest.mark.parametrize("n", [1, 8, 26, 50, 64])
-def test_one_fusion_forward_over_cnn_slices_of_8(n, monkeypatch, trained):
+def test_one_fusion_forward_over_cnn_slices_of_8(n, monkeypatch, trained,
+                                                 tmp_path):
     from mrn import encoders
-    from mrn.vqa import FEATURE_SLICE, VqaModel
+    from mrn.vqa import FEATURE_SLICE, VqaModel, load_checkpoint, \
+        save_checkpoint
     model, ds = trained
-    cnn_rows, forwards = [], []
+    # a fresh copy: its feature store starts empty
+    save_checkpoint(model, str(tmp_path / "m.ckpt"))
+    model = load_checkpoint(str(tmp_path / "m.ckpt"))
+    cnn_calls, forwards = [], []
     real_cnn, real_forward = encoders.cnn_forward, VqaModel.forward
 
     def cnn_spy(image, cnn, freeze=False):
-        cnn_rows.append(len(image))
+        cnn_calls.append([im.tobytes() for im in image])
         assert freeze
         return real_cnn(image, cnn, freeze)
 
@@ -367,7 +372,21 @@ def test_one_fusion_forward_over_cnn_slices_of_8(n, monkeypatch, trained):
 
     monkeypatch.setattr(encoders, "cnn_forward", cnn_spy)
     monkeypatch.setattr(VqaModel, "forward", forward_spy)
-    evaluate(model, ds.examples[:n], "mc", True, ds.answer_vocab)
-    assert len(cnn_rows) == -(-n // FEATURE_SLICE) and sum(cnn_rows) == n
-    assert max(cnn_rows) <= FEATURE_SLICE == 8
+    examples = ds.examples[:n]
+    distinct = {e.image.tobytes() for e in examples}
+    evaluate(model, examples, "mc", True, ds.answer_vocab)
+    # one CNN row per distinct image, but for a lone image in the last
+    # slice, which runs as two copies of itself
+    assert len(cnn_calls) == -(-len(distinct) // FEATURE_SLICE)
+    assert [len(set(c)) for c in cnn_calls[:-1]] == \
+        [FEATURE_SLICE] * (len(cnn_calls) - 1)
+    assert sorted(sum((sorted(set(c)) for c in cnn_calls), [])) == \
+        sorted(distinct)
+    assert all(len(c) == len(set(c)) or (len(c), len(set(c))) == (2, 1)
+               for c in cnn_calls)
+    assert max(len(c) for c in cnn_calls) <= FEATURE_SLICE == 8
     assert forwards == [n]
+    # a second evaluate on the same split reads every row from the store
+    evaluate(model, examples, "oe", False, ds.answer_vocab)
+    assert len(cnn_calls) == -(-len(distinct) // FEATURE_SLICE)
+    assert forwards == [n, n]

@@ -548,3 +548,163 @@ def test_bias_free_checkpoint_names_first_missing_bias(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fixed_features and its store
+
+def feature_model(seed=0):
+    """A model with the default CNN (32x32 images, a 1024 -> 64 linear
+    map), the shape whose one-row product rounds unlike its 2-8 row one."""
+    model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
+        d_q=4, d_v=64, d_joint=5, n_answers=4, n_blocks=1))
+    init_params(model.named_parameters(), 0.08, seed)
+    return model
+
+
+def random_images(n, seed=0):
+    return list(np.random.default_rng(seed).uniform(0, 1, (n, 3, 32, 32)))
+
+
+@pytest.fixture
+def cnn_calls(monkeypatch):
+    """The images of every CNN call, as bytes, one list per call."""
+    from mrn import encoders
+    calls = []
+    real = encoders.cnn_forward
+
+    def spy(image, cnn, freeze=False):
+        calls.append([np.asarray(im).tobytes() for im in image])
+        return real(image, cnn, freeze)
+
+    monkeypatch.setattr(encoders, "cnn_forward", spy)
+    return calls
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_feature_rows_do_not_depend_on_what_shares_the_call(n):
+    images = random_images(n, seed=n)
+    cold = feature_model().fixed_features(images)
+    assert cold.shape == (n, 64)
+    one_by_one = feature_model()
+    single = np.concatenate([one_by_one.fixed_features([im])
+                             for im in images])
+    perm = np.random.default_rng(n).permutation(n)
+    shuffled = feature_model().fixed_features([images[i] for i in perm])
+    doubled = feature_model().fixed_features(images + images[::-1])
+    assert same_bits(single, cold)
+    assert same_bits(shuffled, cold[perm])
+    assert same_bits(doubled, np.concatenate([cold, cold[::-1]]))
+
+
+def test_feature_store_computes_each_distinct_image_once(cnn_calls):
+    model = feature_model()
+    images = random_images(12)
+    wanted = images[:10] + images[3:5] + images[:1]
+    first = model.fixed_features(wanted)
+    assert [len(c) for c in cnn_calls] == [8, 2]
+    assert sorted(sum(cnn_calls, [])) == sorted(im.tobytes()
+                                                for im in images[:10])
+    again = model.fixed_features(images[9::-1] + images[10:])
+    assert [len(c) for c in cnn_calls] == [8, 2, 2]
+    assert same_bits(again[:10], first[9::-1])
+    assert same_bits(model.fixed_features(wanted), first)
+    assert len(cnn_calls) == 3
+
+
+def test_lone_missing_image_runs_as_two_copies(cnn_calls):
+    model = feature_model()
+    images = random_images(9)
+    model.fixed_features(images[:8])
+    model.fixed_features(images)
+    assert cnn_calls[1:] == [[images[8].tobytes()] * 2]
+
+
+def _sub_in_place(t):
+    t.data -= 1e-3
+
+
+def _write_element(t):
+    t.data[(0,) * t.ndim] = 0.25
+
+
+def _replace_array(t):
+    t.data = t.data * 1.5
+
+
+CNN_PARAMS = ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "fc_w", "fc_b")
+
+
+@pytest.mark.parametrize("edit", [_sub_in_place, _write_element,
+                                  _replace_array])
+@pytest.mark.parametrize("name", CNN_PARAMS)
+def test_any_cnn_weight_change_empties_the_store(name, edit, cnn_calls):
+    model = feature_model()
+    images = random_images(3)
+    before = model.fixed_features(images)
+    edit(model.cnn.params[name])
+    after = model.fixed_features(images)
+    assert len(cnn_calls) == 2
+    fresh = feature_model()
+    fresh.cnn.params[name].data = model.cnn.params[name].data.copy()
+    assert same_bits(after, fresh.fixed_features(images))
+    assert not np.array_equal(after, before)
+
+
+def test_init_params_empties_the_store(cnn_calls):
+    model = feature_model(seed=0)
+    images = random_images(3)
+    model.fixed_features(images)
+    init_params(model.named_parameters(), 0.08, 1)
+    after = model.fixed_features(images)
+    assert len(cnn_calls) == 2
+    assert same_bits(after, feature_model(seed=1).fixed_features(images))
+
+
+def test_signed_zero_flip_empties_the_store(cnn_calls):
+    model = feature_model()
+    model.cnn.params["fc_b"].data[0] = 0.0
+    images = random_images(3)
+    model.fixed_features(images)
+    model.cnn.params["fc_b"].data[0] = -0.0
+    model.fixed_features(images)
+    assert len(cnn_calls) == 2
+
+
+def test_image_edited_in_place_is_recomputed(cnn_calls):
+    model = feature_model()
+    images = random_images(3)
+    before = model.fixed_features(images)
+    images[1][0, 0, 0] += 0.5
+    after = model.fixed_features(images)
+    assert cnn_calls[1] == [images[1].tobytes()] * 2
+    assert same_bits(after[[0, 2]], before[[0, 2]])
+    assert same_bits(after, feature_model().fixed_features(images))
+
+
+def test_float32_image_shares_its_float64_row(cnn_calls):
+    model = feature_model()
+    image = random_images(1)[0].astype(np.float32)
+    v32 = model.fixed_features([image])
+    v64 = model.fixed_features([image.astype(np.float64)])
+    assert len(cnn_calls) == 1 and same_bits(v32, v64)
+
+
+def test_wrong_image_shape_still_raises_shape_error():
+    model = feature_model()
+    images = random_images(3)
+    with pytest.raises(ad.ShapeError):
+        model.fixed_features([np.zeros((3, 9, 9))])
+    # as the first image of a cold call, or among stored ones
+    with pytest.raises(ad.ShapeError, match=r"image 1 has shape \(3, 9, 9\)"):
+        model.fixed_features([images[0], np.zeros((3, 9, 9))])
+    model.fixed_features(images)
+    with pytest.raises(ad.ShapeError, match="image 3"):
+        model.fixed_features(images + [np.zeros((3, 16, 64))])
+    with pytest.raises(ad.ShapeError):
+        model.fixed_features([np.zeros((3, 32, 32, 1))])

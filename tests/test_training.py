@@ -351,16 +351,21 @@ def test_frozen_cnn_features_computed_once_per_run(toy_ds, monkeypatch,
     calls = []
 
     def spy(image, cnn, freeze=False):
-        calls.append((len(image), freeze))
+        calls.append(([im.tobytes() for im in image], freeze))
         return real(image, cnn, freeze)
 
     monkeypatch.setattr(encoders, "cnn_forward", spy)
     train_set = toy_ds.split("train")
+    distinct = {e.image.tobytes() for e in train_set}
     cfg = TrainConfig(iterations=iterations, batch_size=4, seed=3,
                       freeze_cnn=True, eval_every=100)
     train(small_model(), train_set, cfg)
-    assert len(calls) == math.ceil(len(train_set) / 8)
-    assert sum(n for n, _ in calls) == len(train_set)
+    # one CNN row per distinct image (the store computes a repeated image
+    # once), 8 per call; a lone image in the last call runs as two copies
+    assert len(calls) == math.ceil(len(distinct) / 8)
+    assert all(len(set(images)) == 8 for images, _ in calls[:-1])
+    assert sorted(sum((sorted(set(images)) for images, _ in calls), [])) == \
+        sorted(distinct)
     assert all(freeze for _, freeze in calls)
 
 
