@@ -25,6 +25,9 @@ from mrn.training import TrainConfig, init_params
 from mrn.visualization import attention_gradient, attention_gradient_for, \
     render_heatmap
 
+# most of the suite's wall time; `pytest -m "not slow"` skips this file
+pytestmark = pytest.mark.slow
+
 # pinned toy configuration shared by criteria 6 and 7 (mirrors CLI defaults)
 PIN_SEED = 7
 PIN_N = 900

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,6 +294,123 @@ def test_mc_at_least_oe_for_random_models(toy_ds):
         oe = evaluate(RandomModel(seed), toy_ds.examples, "oe", vocab=vocab)
         mc = evaluate(RandomModel(seed), toy_ds.examples, "mc", vocab=vocab)
         assert mc.overall >= oe.overall
+
+
+# ---------------------------------------------------------------------------
+# batched scoring against a one-row reference, on given logits
+
+SCORE_VOCAB = ["yes", "no", "2", "7", "red", "cat", "blue", "circle"]
+SCORE_OTHER = {"red", "cat", "blue", "circle"}
+
+
+class LogitsModel:
+    """Returns the given logits rows, whatever the images and questions."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def predict_logits(self, images, batch):
+        assert len(images) == len(batch.lengths) == len(self.logits)
+        return np.array(self.logits, dtype=np.float64)
+
+
+def scored_example(caption, candidates, humans=None):
+    return SimpleNamespace(question=[1, 2], image=None, caption=caption,
+                           candidates=candidates, humans=humans,
+                           answer_type="Other")
+
+
+def one_row_prediction(row, caption, candidates, protocol, postprocess):
+    """Caption bump, candidate mask and first-max argmax, in plain Python."""
+    tokens = caption.lower().split()
+    scores = [x + 1.0 if postprocess and a in SCORE_OTHER and a in tokens
+              else x for x, a in zip(row, SCORE_VOCAB)]
+    ids = sorted(set(candidates)) if protocol == "mc" else \
+        range(len(SCORE_VOCAB))
+    best = max(scores[i] for i in ids)
+    return next(i for i in ids if scores[i] == best)
+
+
+_logit = st.one_of(st.integers(-2, 2).map(float),       # ties, also after +1
+                   st.floats(-4, 4, allow_nan=False))
+_row = st.lists(_logit, min_size=len(SCORE_VOCAB), max_size=len(SCORE_VOCAB))
+_caption = st.lists(st.sampled_from(["a", "and", "red", "Cat", "blue",
+                                     "circle", "yes", "2", "dog"]),
+                    max_size=5).map(" ".join)
+_candidates = st.lists(st.integers(0, len(SCORE_VOCAB) - 1), min_size=1,
+                       max_size=6)                      # single, duplicates
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(_row, _caption, _candidates), min_size=1,
+                max_size=12),
+       st.sampled_from(["oe", "mc"]), st.booleans())
+def test_predict_batch_equals_one_row_composition(rows, protocol,
+                                                  postprocess):
+    logits = [row for row, _, _ in rows]
+    examples = [scored_example(caption, cands) for _, caption, cands in rows]
+    preds = evaluation.predict_batch(LogitsModel(logits), examples, protocol,
+                                     postprocess, SCORE_VOCAB)
+    assert preds == [one_row_prediction(row, caption, cands, protocol,
+                                        postprocess)
+                     for row, caption, cands in rows]
+    assert all(type(p) is int for p in preds)
+
+
+def test_predict_batch_of_no_examples_is_empty():
+    class NoForward:
+        def predict_logits(self, images, batch):
+            raise AssertionError("no forward for no examples")
+
+    assert evaluation.predict_batch(NoForward(), [], "mc", True) == []
+    assert evaluate(NoForward(), [], "mc", True).overall == 0.0
+
+
+def test_mc_earliest_bad_row_raises():
+    logits = np.zeros((3, len(SCORE_VOCAB)))
+    out_of_range = scored_example("", [1, len(SCORE_VOCAB)])
+    with pytest.raises(IndexError):
+        evaluation.predict_batch(
+            LogitsModel(logits),
+            [scored_example("", [0]), out_of_range, scored_example("", [])],
+            "mc", vocab=SCORE_VOCAB)
+    with pytest.raises(ValueError, match="needs candidate lists"):
+        evaluation.predict_batch(
+            LogitsModel(logits),
+            [scored_example("", [0]), scored_example("", []), out_of_range],
+            "mc", vocab=SCORE_VOCAB)
+    with pytest.raises(IndexError):
+        multiple_choice_mask(logits, [[0], [-1], []])
+    with pytest.raises(ValueError, match="empty candidate set"):
+        multiple_choice_mask(logits, [[0], [], [-1]])
+    # one candidate set or caption per row, no fewer
+    with pytest.raises(ValueError, match="3 score rows but 2"):
+        multiple_choice_mask(logits, [[0], [1]])
+    with pytest.raises(ValueError, match="3 score rows but 2"):
+        caption_postprocess(logits, ["a cat", "red"], SCORE_VOCAB)
+
+
+def test_evaluate_follows_in_place_edits_of_humans_and_caption():
+    # zero logits: with no bump the first answer ("yes") wins
+    e = scored_example("a cat", list(range(len(SCORE_VOCAB))),
+                       humans=["dog"] * 10)
+    model = LogitsModel(np.zeros((1, len(SCORE_VOCAB))))
+
+    def overall():
+        return evaluate(model, [e], "oe", True, SCORE_VOCAB).overall
+
+    assert overall() == 0.0                     # predicts "cat"
+    e.humans[:2] = ["cat", " CAT "]
+    assert overall() == 2 / 3
+    e.humans[2] = "cat"
+    assert overall() == 1.0
+    e.caption = "a red cat"                     # "red" comes first on the tie
+    assert overall() == 0.0
+    e.humans[9] = "red"
+    assert overall() == 1 / 3
+    e.humans.pop()
+    with pytest.raises(ValueError, match="got 9"):
+        overall()
 
 
 @pytest.fixture(scope="module")
