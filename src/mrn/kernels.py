@@ -14,39 +14,24 @@ import numpy as np
 HAVE_NUMBA = False
 
 
-# examples per im2col buffer: whole-batch columns for conv1 at batch 32 take
-# 7 MB per call and raised the training peak RSS; 8-example buffers (1.8 MB)
-# run as fast without that
-IM2COL_EXAMPLES = 8
-
-
 def _im2col(xp, kh, kw):
-    """(first example, columns) for each run of IM2COL_EXAMPLES examples.
-
-    The columns are (n, C*kh*kw, Ho*Wo): every kh x kw window of those rows
-    of xp, in (c, u, v) order to match w.reshape(O, -1); one strided copy
-    per tap.
+    """(n, C*kh*kw, Ho*Wo) columns: every kh x kw window of xp, in (c, u, v)
+    order to match w.reshape(O, -1); one strided copy per tap.
     """
     bsz, c, hp, wp = xp.shape
     ho, wo = hp - kh + 1, wp - kw + 1
-    for start in range(0, bsz, IM2COL_EXAMPLES):
-        part = xp[start:start + IM2COL_EXAMPLES]
-        cols = np.empty((part.shape[0], c, kh, kw, ho, wo))
-        for u in range(kh):
-            for v in range(kw):
-                cols[:, :, u, v] = part[:, :, u:u + ho, v:v + wo]
-        yield start, cols.reshape(part.shape[0], c * kh * kw, ho * wo)
+    cols = np.empty((bsz, c, kh, kw, ho, wo))
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, :, u, v] = xp[:, :, u:u + ho, v:v + wo]
+    return cols.reshape(bsz, c * kh * kw, ho * wo)
 
 
 def conv2d_forward(xp, w):
     o, _, kh, kw = w.shape
     bsz, _, hp, wp = xp.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
-    y = np.empty((bsz, o, ho * wo))
-    for start, cols in _im2col(xp, kh, kw):
-        np.matmul(w.reshape(o, -1), cols,
-                  out=y[start:start + IM2COL_EXAMPLES])
-    return y.reshape(bsz, o, ho, wo)
+    y = w.reshape(o, -1) @ _im2col(xp, kh, kw)
+    return y.reshape(bsz, o, hp - kh + 1, wp - kw + 1)
 
 
 def conv2d_backward(xp, w, gy, need_gx=True, need_gw=True):
@@ -60,11 +45,8 @@ def conv2d_backward(xp, w, gy, need_gx=True, need_gw=True):
     gxp = gw = None
     if need_gw:
         # the transpose is a view: matmul hands it to BLAS as transposed
-        gw = np.zeros((o, c * kh * kw))
-        for start, cols in _im2col(xp, kh, kw):
-            gw += (gy[start:start + IM2COL_EXAMPLES]
-                   @ cols.transpose(0, 2, 1)).sum(axis=0)
-        gw = gw.reshape(w.shape)
+        gw = (gy @ _im2col(xp, kh, kw).transpose(0, 2, 1)).sum(axis=0) \
+            .reshape(w.shape)
     if need_gx:
         # one matmul gives every tap's (C, Ho, Wo) contribution per example;
         # col2im adds each tap's block at its (u, v) shift

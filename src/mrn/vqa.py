@@ -29,8 +29,9 @@ CKPT_MAGIC = b"MRNCKPT1"
 # grows with the images per call. Measured on one 64-example evaluate (2
 # vCPUs, one BLAS thread, tracemalloc peak): slices of 8 took 14.7 ms and
 # peaked at 4.4 MB, one 64-image call 22.6 ms and 16.8 MB, with 16 and 32
-# in between; 4 peaked at 3.5 MB in the same time within noise.
-FEATURE_SLICE = 8
+# in between; 4 peaked at 3.5 MB in the same time within noise. So a call
+# is one of the CNN's runs.
+FEATURE_SLICE = encoders.CNN_RUN
 
 
 class VqaModel:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrn import autodiff as ad
+from mrn import encoders
 from mrn.autodiff import Tensor
 from mrn.encoders import GATE_PARAMS, CnnConfig, GruEncoder, QuestionBatch, \
     StepCounter, ToyCnn, cnn_forward, gru_forward, gru_forward_trimzero
@@ -329,3 +330,52 @@ def test_cnn_freeze_blocks_weight_grads_but_not_pixels():
     ad.tsum(cnn_forward(img, cnn, freeze=True)).backward()
     assert img.grad is not None and np.any(img.grad != 0)
     assert all(t.grad is None for t in cnn.params.values())
+
+
+def graph_nodes(root):
+    """Tensors reachable from root through their parents, root included."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_cnn_runs_match_one_pass(monkeypatch):
+    # 19 images run as 8 + 8 + 3; a CNN_RUN of 19 runs them as one pass
+    cnn = ToyCnn()
+    init_params(cnn.params, 0.08, 6)
+    rng = np.random.default_rng(7)
+    images = rng.uniform(0, 1, (19, 3, 32, 32))
+    weights = rng.standard_normal((19, cnn.config.d_out))
+
+    def forward_backward(n):
+        for t in cnn.params.values():
+            t.zero_grad()
+        image = Tensor(images[:n], requires_grad=True)
+        v = cnn_forward(image, cnn)
+        nodes = graph_nodes(v)
+        ad.tsum(ad.mul(v, Tensor(weights[:n]))).backward()
+        grads = {k: t.grad for k, t in cnn.params.items()}
+        return v.data, image.grad, grads, nodes
+
+    runs, small_runs = forward_backward(19), forward_backward(8)
+    monkeypatch.setattr(encoders, "CNN_RUN", 19)
+    one, small_one = forward_backward(19), forward_backward(8)
+    assert np.array_equal(runs[0], one[0])
+    assert np.array_equal(runs[1], one[1])
+    for k in ("fc_w", "fc_b"):
+        assert np.array_equal(runs[2][k], one[2][k])
+    # each run sums its own examples' share of a conv gradient, so the
+    # conv weights and biases differ from one 19-example sum in the last bits
+    for k in ("conv1_w", "conv1_b", "conv2_w", "conv2_b"):
+        a, b = runs[2][k], one[2][k]
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+    # a call of at most CNN_RUN images is one run: the same graph and bits
+    assert small_runs[3] == small_one[3]
+    assert np.array_equal(small_runs[0], small_one[0])
+    assert np.array_equal(small_runs[1], small_one[1])
+    assert all(np.array_equal(small_runs[2][k], small_one[2][k])
+               for k in cnn.params)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -14,6 +15,17 @@ from mrn.model import ModelDims
 from mrn.training import RMSPROP_DECAY, RMSPROP_EPS, NumericalError, \
     TrainConfig, dropout, init_params, rmsprop_step, train
 from mrn.vqa import VqaModel
+
+
+def pinned_model_and_set():
+    """Pinned-shape model (variant b, L=3, d_joint 64), initialized, and the
+    train split of a 64-example dataset."""
+    ds = data_mod.generate(0, 64)
+    dims = ModelDims(d_joint=64, n_answers=len(ds.answer_vocab), n_blocks=3)
+    model = VqaModel(vocab_size=len(ds.question_vocab), variant="b",
+                     dims=dims)
+    init_params(model.named_parameters(), training.INIT_RANGE, 0)
+    return model, ds.split("train")
 
 
 def small_model():
@@ -184,6 +196,36 @@ def test_train_step_asks_conv1_for_no_input_gradient(monkeypatch):
           initialize=False)
     assert asked == [(model.cnn.config.channels1, True, True),
                      (model.cnn.config.in_channels, False, True)]
+
+
+def test_batch_32_step_gives_conv_kernels_at_most_one_run(monkeypatch):
+    model, train_set = pinned_model_and_set()
+    seen = []
+    for name in ("conv2d_forward", "conv2d_backward"):
+        def spy(xp, *args, real=getattr(kernels, name), name=name, **kw):
+            seen.append((name, xp.shape[0]))
+            return real(xp, *args, **kw)
+        monkeypatch.setattr(kernels, name, spy)
+    train(model, train_set, TrainConfig(batch_size=32, iterations=1),
+          initialize=False)
+    assert max(n for _, n in seen) <= encoders.CNN_RUN < 32
+    for name in ("conv2d_forward", "conv2d_backward"):
+        # conv1 and conv2 each see the whole batch
+        assert sum(n for f, n in seen if f == name) == 2 * 32
+
+
+def test_two_pinned_train_steps_peak_under_16_mb():
+    # conv temporaries for one run of images, not the batch, set the peak
+    # (18.5 MiB when each conv call took the whole batch)
+    model, train_set = pinned_model_and_set()
+    tracemalloc.start()
+    try:
+        train(model, train_set, TrainConfig(batch_size=32, iterations=2),
+              initialize=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("field", ["iterations", "eval_every"])
