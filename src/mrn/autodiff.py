@@ -1,7 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-Micrograd-style design: every op builds a node holding its parents and a
-closure ``_backward(g)`` that pushes the output gradient g back to them.
+Micrograd-style design: every op hands the node it builds its parents and
+a closure ``_backward(g)`` that pushes the output gradient g back to them.
+One rule decides what joins the tape, in ``Tensor.__init__``: a node keeps
+its parents and closure only when it requires a gradient, which an op's
+output does when one of its parents does. A node that no gradient reaches
+is a leaf like a constant, so a computation on constants alone (a frozen
+CNN on plain images, say) frees each intermediate as soon as nothing
+refers to it.
+
 ``backward()`` walks the graph once in reverse topological order, passing
 each node its own ``.grad``; only leaves keep theirs after the walk.
 Gradients accumulate additively across fan-out: a tensor keeps its first
@@ -32,13 +39,14 @@ class ShapeError(ValueError):
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=()):
+    def __init__(self, data, requires_grad=False, _parents=(),
+                 _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = None
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -72,7 +80,10 @@ class Tensor:
         """Populate .grad of every requires_grad leaf under this scalar.
 
         An interior node's gradient is dropped once its backward has run,
-        so a walk holds only the gradients still to be pushed back.
+        so a walk holds only the gradients still to be pushed back. A
+        scalar that requires no gradient is a leaf with no parents: the
+        walk reaches no other tensor, and its own .grad is the seed, ones
+        of its shape, as for any leaf it starts from.
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(
@@ -126,7 +137,6 @@ def _accum_maybe_scalar(t, g):
 
 def add(a, b):
     _check_elementwise(a, b, "add")
-    out = Tensor(a.data + b.data, _parents=(a, b))
 
     def _bw(g):
         if a.requires_grad:
@@ -134,57 +144,48 @@ def add(a, b):
         if b.requires_grad:
             # a may keep g and add into it later: b gets its own array
             _accum_maybe_scalar(b, g.copy() if a.requires_grad else g)
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(a.data + b.data, _parents=(a, b), _backward=_bw)
 
 
 def sub(a, b):
     _check_elementwise(a, b, "sub")
-    out = Tensor(a.data - b.data, _parents=(a, b))
 
     def _bw(g):
         if a.requires_grad:
             _accum_maybe_scalar(a, g)
         if b.requires_grad:
             _accum_maybe_scalar(b, -g)
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(a.data - b.data, _parents=(a, b), _backward=_bw)
 
 
 def mul(a, b):
     _check_elementwise(a, b, "mul")
-    out = Tensor(a.data * b.data, _parents=(a, b))
 
     def _bw(g):
         if a.requires_grad:
             _accum_maybe_scalar(a, g * b.data)
         if b.requires_grad:
             _accum_maybe_scalar(b, g * a.data)
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(a.data * b.data, _parents=(a, b), _backward=_bw)
 
 
 def tanh(a):
     y = np.tanh(a.data)
-    out = Tensor(y, _parents=(a,))
 
     def _bw(g):
         d = y * y
         np.subtract(1.0, d, out=d)
         d *= g
         a._accum(d)
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(y, _parents=(a,), _backward=_bw)
 
 
 def sigmoid(a):
     y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y, _parents=(a,))
 
     def _bw(g):
         a._accum(g * y * (1.0 - y))
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(y, _parents=(a,), _backward=_bw)
 
 
 # ---------------------------------------------------------------------------
@@ -193,30 +194,26 @@ def sigmoid(a):
 def matmul(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, _parents=(a, b))
 
     def _bw(g):
         if a.requires_grad:
             a._accum(g @ b.data.T)
         if b.requires_grad:
             b._accum(a.data.T @ g)
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(a.data @ b.data, _parents=(a, b), _backward=_bw)
 
 
 def add_bias(x, b):
     """x: (batch, n), b: (n,) added to every row."""
     if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ShapeError(f"add_bias: shapes {x.shape} and {b.shape}")
-    out = Tensor(x.data + b.data, _parents=(x, b))
 
     def _bw(g):
         if x.requires_grad:
             x._accum(g)
         if b.requires_grad:
             b._accum(g.sum(axis=0))
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(x.data + b.data, _parents=(x, b), _backward=_bw)
 
 
 def linear(x, w, b):
@@ -228,49 +225,38 @@ def linear(x, w, b):
 # reductions / reshaping / indexing
 
 def tsum(a):
-    out = Tensor(a.data.sum(), _parents=(a,))
 
     def _bw(g):
         a._accum(np.full_like(a.data, float(g)))
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(a.data.sum(), _parents=(a,), _backward=_bw)
 
 
 def tmean(a):
-    out = Tensor(a.data.mean(), _parents=(a,))
 
     def _bw(g):
         a._accum(np.full_like(a.data, float(g) / a.size))
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(a.data.mean(), _parents=(a,), _backward=_bw)
 
 
 def reshape(a, shape):
-    out = Tensor(a.data.reshape(shape), _parents=(a,))
 
     def _bw(g):
         a._accum(g.reshape(a.shape))
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(a.data.reshape(shape), _parents=(a,), _backward=_bw)
 
 
 def take_rows(a, idx):
     """Gather rows along axis 0; idx is an int array or a slice."""
-    out = Tensor(a.data[idx], _parents=(a,))
 
     def _bw(g):
         ga = np.zeros_like(a.data)
         np.add.at(ga, idx, g)
         a._accum(ga)
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(a.data[idx], _parents=(a,), _backward=_bw)
 
 
 def concat_rows(parts):
     """Concatenate along axis 0."""
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0),
-                 _parents=tuple(parts))
-
     def _bw(g):
         off = 0
         for p in parts:
@@ -278,8 +264,8 @@ def concat_rows(parts):
             if p.requires_grad:
                 p._accum(g[off:off + n])
             off += n
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=0),
+                  _parents=tuple(parts), _backward=_bw)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +284,12 @@ def softmax_cross_entropy(logits, targets):
     p = ez / ez.sum(axis=1, keepdims=True)
     bsz = logits.shape[0]
     nll = -(z[np.arange(bsz), t] - np.log(ez.sum(axis=1)))
-    out = Tensor(nll.mean(), _parents=(logits,))
 
     def _bw(g):
         d = p.copy()
         d[np.arange(bsz), t] -= 1.0
         logits._accum(d * (float(g) / bsz))
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(nll.mean(), _parents=(logits,), _backward=_bw)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +305,6 @@ def conv2d(x, w, b, padding=1):
     xp[:, :, pad:pad + h, pad:pad + wd] = x.data
     y = kernels.conv2d_forward(xp, w.data)
     y += b.data[None, :, None, None]   # y is the kernel's fresh output
-    out = Tensor(y, _parents=(x, w, b))
 
     def _bw(g):
         gxp, gw = kernels.conv2d_backward(xp, w.data, g, x.requires_grad,
@@ -332,8 +315,7 @@ def conv2d(x, w, b, padding=1):
             w._accum(gw)
         if b.requires_grad:
             b._accum(g.sum(axis=(0, 2, 3)))
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(y, _parents=(x, w, b), _backward=_bw)
 
 
 def avgpool2d(x, k=2):
@@ -346,7 +328,6 @@ def avgpool2d(x, k=2):
     for i, j in taps[1:]:
         y += x.data[:, :, i::k, j::k]
     y /= k * k
-    out = Tensor(y, _parents=(x,))
 
     def _bw(g):
         gx = np.empty_like(x.data)
@@ -354,5 +335,4 @@ def avgpool2d(x, k=2):
         for i, j in taps:
             gx[:, :, i::k, j::k] = gk
         x._accum(gx)
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return Tensor(y, _parents=(x,), _backward=_bw)

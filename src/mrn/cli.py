@@ -21,6 +21,8 @@ from .training import NumericalError, TrainConfig
 from .vqa import VqaModel, load_checkpoint, save_checkpoint
 
 CONFIG_VERSION = "1"
+# report.csv's and ablation.csv's names for evaluation.accuracy_row
+ACCURACY_COLUMNS = ("all", "yn", "num", "other")
 
 
 class ValidationError(ValueError):
@@ -235,12 +237,10 @@ def cmd_eval(args):
                                    vocab=ds.answer_vocab)
                for proto in protocols]
     path = os.path.join(args.out, "report.csv")
-    nan = float("nan")
-    _write_csv(path, ["protocol", "all", "yn", "num", "other"], [
-        {"protocol": r.protocol, "all": r.overall,
-         "yn": r.per_type.get("Y/N", nan),
-         "num": r.per_type.get("Number", nan),
-         "other": r.per_type.get("Other", nan)} for r in reports])
+    _write_csv(path, ["protocol", *ACCURACY_COLUMNS], [
+        {"protocol": r.protocol,
+         **dict(zip(ACCURACY_COLUMNS, evaluation.accuracy_row(r)))}
+        for r in reports])
     for r in reports:
         print(f"{r.protocol}: all={r.overall:.4f} " +
               " ".join(f"{t}={r.per_type.get(t, float('nan')):.4f}"
@@ -257,12 +257,10 @@ def cmd_ablate(args):
                          seed=args.seed, eval_every=args.iters)
     rows = []
     for r in training.ablation_sweep(ds, config, args.dim, args.budget_dim):
-        report = r["report"]
         row = {"variant": r["variant"], "blocks": r["blocks"], "dim": r["dim"],
-               "params": r["params"], "all": report.overall,
-               "yn": report.per_type.get("Y/N", 0.0),
-               "num": report.per_type.get("Number", 0.0),
-               "other": report.per_type.get("Other", 0.0)}
+               "params": r["params"],
+               **dict(zip(ACCURACY_COLUMNS,
+                          evaluation.accuracy_row(r["report"])))}
         rows.append(row)
         print(f"{row['variant']:>2} L={row['blocks']} dim={row['dim']:>4} "
               f"params={row['params']:>8} all={row['all']:.4f}")

@@ -98,7 +98,6 @@ class GruEncoder:
         rh = r * hd
         n = np.tanh((xd @ w_n + b_n) + rh @ u_n)
         zc = 1.0 - z
-        out = Tensor(z * hd + zc * n, _parents=(x, h) + params)
 
         def _bw(g):
             # gradients at the pre-activations of z, r and n
@@ -118,8 +117,8 @@ class GruEncoder:
                     u._accum(h_in.T @ a)
                 if b.requires_grad:
                     b._accum(a.sum(axis=0))
-        out._backward = _bw if out.requires_grad else None
-        return out
+        return Tensor(z * hd + zc * n, _parents=(x, h) + params,
+                      _backward=_bw)
 
     def embed(self, token_ids):
         ids = np.asarray(token_ids, dtype=np.int64)
@@ -233,8 +232,7 @@ def cnn_forward(image, cnn, freeze=False):
     pad = c.kernel // 2
     n = x.shape[0]
     runs = [x] if n <= CNN_RUN else [
-        ad.take_rows(x, rows) if x.requires_grad else Tensor(x.data[rows])
-        for rows in (slice(i, i + CNN_RUN) for i in range(0, n, CNN_RUN))]
+        ad.take_rows(x, slice(i, i + CNN_RUN)) for i in range(0, n, CNN_RUN)]
     pooled = []
     for y in runs:
         y = ad.tanh(ad.conv2d(y, p["conv1_w"], p["conv1_b"], padding=pad))

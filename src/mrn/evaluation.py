@@ -150,6 +150,12 @@ class EvalReport:
         return report
 
 
+def accuracy_row(report):
+    """A report's overall, Y/N, Number and Other accuracies, in that order;
+    None for an answer type with no examples, which has no accuracy."""
+    return [report.overall] + [report.per_type.get(t) for t in ANSWER_TYPES]
+
+
 def predict_batch(model, examples, protocol="oe", postprocess=False,
                   vocab=None):
     """Predicted answer ids for examples, scored in one forward.

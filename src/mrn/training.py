@@ -144,9 +144,10 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
     """Run the fixed iteration budget of mini-batch RMSProp.
 
     evaluate_fn(model, val_set) -> EvalReport is called every eval_every
-    iterations when a validation set is given; its per-type accuracies go
-    into the metrics rows. initialize=False keeps the caller's parameter
-    values instead of drawing fresh ones. With freeze_cnn the train split's
+    iterations when a validation set is given; its accuracies go into the
+    metrics rows, None for an answer type with no examples.
+    initialize=False keeps the caller's parameter values instead of
+    drawing fresh ones. With freeze_cnn the train split's
     features are computed once, before the first step; no dropout touches
     them, so each step reads the same v as a CNN run on its batch.
     """
@@ -202,13 +203,9 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
         if it % config.eval_every == 0 or it == config.iterations:
             row = {"iteration": it, "train_loss": loss}
             if val_set is not None and evaluate_fn is not None:
-                report = evaluate_fn(model, val_set)
-                row.update({
-                    "val_overall": report.overall,
-                    "val_yn": report.per_type.get("Y/N", 0.0),
-                    "val_num": report.per_type.get("Number", 0.0),
-                    "val_other": report.per_type.get("Other", 0.0),
-                })
+                row.update(zip(
+                    ("val_overall", "val_yn", "val_num", "val_other"),
+                    evaluation.accuracy_row(evaluate_fn(model, val_set))))
             result.metrics.append(row)
     return result
 

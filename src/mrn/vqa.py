@@ -24,13 +24,14 @@ from .encoders import gru_forward  # noqa: F401
 from .model import ConfigError, ModelDims, MrnModel, mrn_forward
 
 CKPT_MAGIC = b"MRNCKPT1"
-# Images per CNN call when features are computed without gradients. A CNN
-# call keeps its conv activations alive until it returns, so peak memory
-# grows with the images per call. Measured on one 64-example evaluate (2
-# vCPUs, one BLAS thread, tracemalloc peak): slices of 8 took 14.7 ms and
-# peaked at 4.4 MB, one 64-image call 22.6 ms and 16.8 MB, with 16 and 32
-# in between; 4 peaked at 3.5 MB in the same time within noise. So a call
-# is one of the CNN's runs.
+# Images per CNN call when features are computed without gradients, for
+# two reasons (pinned model shape, 2 vCPUs, one OpenBLAS thread). First, a
+# row's bits must not depend on what shares its call: the fc map gives a
+# row other last bits once a call has 16 or more rows, while calls of 2-15
+# rows match 8-row slices to the bit. Second, one call over all misses
+# stacks every image: a cold 180-image val split peaked at 8.4 MiB
+# (tracemalloc) instead of 3.3 in slices of 8, the 630-image train split
+# at 25 MiB instead of 3.6. So a call is one of the CNN's runs.
 FEATURE_SLICE = encoders.CNN_RUN
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mrn import autodiff as ad
 from mrn.autodiff import Tensor
+from mrn.encoders import GATE_PARAMS, GruEncoder
 from mrn.gradcheck import check_tensor_grad, fd_grad, rel_err
 
 
@@ -343,3 +344,93 @@ def test_take_rows_repeated_indices_gradient_matches_finite_differences(
         rng.standard_normal((rows, cols)))
     assert err < 1e-4
 
+
+def _gru_step(x, h, *params):
+    enc = GruEncoder(2, x.shape[1], h.shape[1])
+    enc.params.update(zip(GATE_PARAMS, params))
+    return enc.step(x, h)
+
+
+def _normal(rng, *shapes):
+    return [rng.standard_normal(s) for s in shapes]
+
+
+# op -> builder(rng, n, m, k) giving (f, input arrays): f takes one Tensor
+# per array and applies the op, with any non-tensor argument drawn here
+OPS = {
+    "add": lambda rng, n, m, k: (ad.add, _normal(rng, (n, m), (n, m))),
+    "sub": lambda rng, n, m, k: (ad.sub, _normal(rng, (n, m), (n, m))),
+    "mul": lambda rng, n, m, k: (ad.mul, _normal(rng, (n, m), (n, m))),
+    "mul_0d_left": lambda rng, n, m, k: (ad.mul, _normal(rng, (), (n, m))),
+    "mul_0d_right": lambda rng, n, m, k: (ad.mul, _normal(rng, (n, m), ())),
+    "tanh": lambda rng, n, m, k: (ad.tanh, _normal(rng, (n, m))),
+    "sigmoid": lambda rng, n, m, k: (ad.sigmoid, _normal(rng, (n, m))),
+    "matmul": lambda rng, n, m, k: (ad.matmul, _normal(rng, (n, k), (k, m))),
+    "add_bias": lambda rng, n, m, k: (ad.add_bias, _normal(rng, (n, m), (m,))),
+    "tsum": lambda rng, n, m, k: (ad.tsum, _normal(rng, (n, m))),
+    "tmean": lambda rng, n, m, k: (ad.tmean, _normal(rng, (n, m))),
+    "reshape": lambda rng, n, m, k: (lambda a: ad.reshape(a, (m, n)),
+                                     _normal(rng, (n, m))),
+    "take_rows": lambda rng, n, m, k: (
+        lambda a, idx=rng.integers(0, n, size=k + 1): ad.take_rows(a, idx),
+        _normal(rng, (n, m))),
+    "concat_rows": lambda rng, n, m, k: (lambda *p: ad.concat_rows(p),
+                                         _normal(rng, (n, m), (k, m))),
+    "softmax_cross_entropy": lambda rng, n, m, k: (
+        lambda a, t=rng.integers(0, m, size=n): ad.softmax_cross_entropy(a, t),
+        _normal(rng, (n, m))),
+    "conv2d": lambda rng, n, m, k: (
+        ad.conv2d, _normal(rng, (1, k, n + 1, m + 1), (2, k, 3, 3), (2,))),
+    "avgpool2d": lambda rng, n, m, k: (ad.avgpool2d,
+                                       _normal(rng, (1, k, 2 * n, 2 * m))),
+    "gru_step": lambda rng, n, m, k: (_gru_step, _normal(
+        rng, (n, k), (n, m), *[(k, m), (m, m), (m,)] * 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+@settings(max_examples=10, deadline=None, database=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_op_gradients_match_finite_differences(name, n, m, k, seed):
+    rng = np.random.default_rng(seed)
+    f, arrays = OPS[name](rng, n, m, k)
+    # at this loss scale the finite differences' rounding stays far below
+    # the tolerance on near-zero entries, where rel_err divides by 1e-6
+    shape = f(*map(Tensor, arrays)).shape
+    r0, r1 = (Tensor(rng.standard_normal(shape) * 0.1) for _ in range(2))
+
+    def loss(*tensors):
+        # the op twice, so every input's gradient accumulates across fan-out
+        return ad.add(ad.tsum(ad.mul(f(*tensors), r0)),
+                      ad.tsum(ad.mul(f(*tensors), r1)))
+
+    # every input a leaf at once, each op backward feeding several leaves
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    loss(*leaves).backward()
+    for i, leaf in enumerate(leaves):
+        def value(x, i=i):
+            return loss(*(Tensor(x if j == i else a)
+                          for j, a in enumerate(arrays))).item()
+        assert rel_err(leaf.grad, fd_grad(value, arrays[i].copy())) < 1e-4
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_op_joins_the_tape_only_when_a_gradient_reaches_it(name):
+    f, arrays = OPS[name](np.random.default_rng(11), 2, 3, 2)
+    out = f(*map(Tensor, arrays))
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    # the first input alone needing a gradient puts the node on the tape
+    out = f(*(Tensor(a, requires_grad=i == 0) for i, a in enumerate(arrays)))
+    assert out.requires_grad
+    assert out._parents and out._backward is not None
+
+
+def test_backward_from_a_constant_reaches_no_leaf():
+    a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+    loss = ad.tsum(ad.mul(a, b))
+    loss.backward()
+    assert a.grad is None and b.grad is None
+    # the root is a leaf like any other: it keeps the seed of ones
+    assert loss.grad.shape == () and loss.grad == 1.0

@@ -571,3 +571,31 @@ def test_ablate_trains_repeated_config_once(workdir, tmp_path, monkeypatch):
     rows = open(os.path.join(out, "ablation.csv")).read().splitlines()
     # variant b at L=3 (row 2) and the budget-matched b (row 9)
     assert rows[2].startswith("b,3,8,") and rows[2] == rows[9]
+
+
+def test_absent_answer_type_is_an_empty_cell_in_every_csv(tmp_path):
+    # seed 3, 12 examples: the val split holds Y/N and Number questions
+    # but no Other one, which has no accuracy rather than 0% or nan
+    data = str(tmp_path / "ds.mrnd")
+    assert main(["gen", "--seed", "3", "--n", "12", "--out", str(tmp_path),
+                 "--data", data]) == 0
+    small = ["--iters", "2", "--batch", "4"]
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", data, "--out", run, *small]) == 0
+    assert main(["eval", "--data", data, "--checkpoint",
+                 os.path.join(run, "model.ckpt"), "--split", "val",
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert main(["ablate", "--data", data, "--out", str(tmp_path / "abl"),
+                 *small, "--dim", "8", "--budget-dim", "8"]) == 0
+    tables = [(os.path.join(run, "metrics.csv"), "val_"),
+              (str(tmp_path / "eval" / "report.csv"), ""),
+              (str(tmp_path / "abl" / "ablation.csv"), "")]
+    for path, prefix in tables:
+        rows = [dict(zip(lines[0].split(","), line.split(",")))
+                for lines in [open(path).read().splitlines()]
+                for line in lines[1:]]
+        assert rows
+        for row in rows:
+            assert row[prefix + "other"] == ""
+            for col in ("yn", "num"):
+                assert 0.0 <= float(row[prefix + col]) <= 1.0

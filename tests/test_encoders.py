@@ -343,6 +343,17 @@ def graph_nodes(root):
     return len(seen)
 
 
+def test_frozen_cnn_on_plain_images_keeps_no_graph():
+    # 19 images run as 8 + 8 + 3 through take_rows; no node needs a
+    # gradient, so the features hold no parents and no closure
+    cnn = ToyCnn()
+    init_params(cnn.params, 0.08, 6)
+    images = np.random.default_rng(7).uniform(0, 1, (19, 3, 32, 32))
+    v = cnn_forward(images, cnn, freeze=True)
+    assert v.shape == (19, cnn.config.d_out) and not v.requires_grad
+    assert v._parents == () and v._backward is None
+
+
 def test_cnn_runs_match_one_pass(monkeypatch):
     # 19 images run as 8 + 8 + 3; a CNN_RUN of 19 runs them as one pass
     cnn = ToyCnn()
