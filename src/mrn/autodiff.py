@@ -295,44 +295,95 @@ def softmax_cross_entropy(logits, targets):
 # ---------------------------------------------------------------------------
 # convolution / pooling (kernels module does the heavy lifting)
 
-def conv2d(x, w, b, padding=1):
-    """x: (B, C, H, W), w: (O, C, kh, kw), b: (O,). Stride 1."""
-    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv2d: shapes {x.shape} and {w.shape}")
-    pad = padding
+def _pad(x, pad):
+    """x's array with pad zeros around each (H, W) map."""
     bsz, c, h, wd = x.shape
     xp = np.zeros((bsz, c, h + 2 * pad, wd + 2 * pad))
     xp[:, :, pad:pad + h, pad:pad + wd] = x.data
+    return xp
+
+
+def _conv(x, w, b, pad):
+    """(xp, y): x padded, and its correlation with w plus the bias b."""
+    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"conv2d: shapes {x.shape} and {w.shape}")
+    xp = _pad(x, pad)
     y = kernels.conv2d_forward(xp, w.data)
     y += b.data[None, :, None, None]   # y is the kernel's fresh output
+    return xp, y
+
+
+def _conv_bw(x, w, b, xp, gy, pad):
+    """Send the gradient gy at a conv's output to x, w and b, as asked."""
+    gxp, gw = kernels.conv2d_backward(xp, w.data, gy, x.requires_grad,
+                                      w.requires_grad)
+    if x.requires_grad:
+        _, _, h, wd = x.shape
+        x._accum(gxp[:, :, pad:pad + h, pad:pad + wd])
+    if w.requires_grad:
+        w._accum(gw)
+    if b.requires_grad:
+        b._accum(gy.sum(axis=(0, 2, 3)))
+
+
+def _taps(k):
+    return [(i, j) for i in range(k) for j in range(k)]
+
+
+def _pool(a, k):
+    """Mean of each non-overlapping k x k window of a (B, C, H, W) array,
+    summed one strided tap at a time."""
+    _, _, h, w = a.shape
+    if h % k or w % k:
+        raise ShapeError(f"avgpool2d: {h}x{w} not divisible by {k}")
+    y = a[:, :, 0::k, 0::k].copy()
+    for i, j in _taps(k)[1:]:
+        y += a[:, :, i::k, j::k]
+    y /= k * k
+    return y
+
+
+def conv2d(x, w, b, padding=1):
+    """x: (B, C, H, W), w: (O, C, kh, kw), b: (O,). Stride 1."""
+    xp, y = _conv(x, w, b, padding)
 
     def _bw(g):
-        gxp, gw = kernels.conv2d_backward(xp, w.data, g, x.requires_grad,
-                                          w.requires_grad)
-        if x.requires_grad:
-            x._accum(gxp[:, :, pad:pad + h, pad:pad + wd])
-        if w.requires_grad:
-            w._accum(gw)
-        if b.requires_grad:
-            b._accum(g.sum(axis=(0, 2, 3)))
+        _conv_bw(x, w, b, xp, g, padding)
     return Tensor(y, _parents=(x, w, b), _backward=_bw)
 
 
 def avgpool2d(x, k=2):
     """Non-overlapping k x k average pooling; H, W must divide by k."""
-    _, _, h, w = x.shape
-    if h % k or w % k:
-        raise ShapeError(f"avgpool2d: {h}x{w} not divisible by {k}")
-    taps = [(i, j) for i in range(k) for j in range(k)]
-    y = x.data[:, :, 0::k, 0::k].copy()
-    for i, j in taps[1:]:
-        y += x.data[:, :, i::k, j::k]
-    y /= k * k
+    y = _pool(x.data, k)
 
     def _bw(g):
         gx = np.empty_like(x.data)
         gk = g / (k * k)
-        for i, j in taps:
+        for i, j in _taps(k):
             gx[:, :, i::k, j::k] = gk
         x._accum(gx)
     return Tensor(y, _parents=(x,), _backward=_bw)
+
+
+def conv_tanh_pool(x, w, b, padding=1):
+    """avgpool2d(tanh(conv2d(x, w, b, padding)), 2) as one tape node.
+
+    Same ops in the same order, so the value and every gradient equal the
+    composed form's to the bit. The node keeps x (a parent) and the tanh
+    map; the padded input and the pre-tanh map are freed when the forward
+    returns, and the backward pads x again.
+    """
+    k = 2
+    _, a = _conv(x, w, b, padding)
+    np.tanh(a, out=a)
+    y = _pool(a, k)
+
+    def _bw(g):
+        # tanh' = 1 - a^2, times the pool's share g / k^2 at each tap
+        gy = a * a
+        np.subtract(1.0, gy, out=gy)
+        gk = g / (k * k)
+        for i, j in _taps(k):
+            gy[:, :, i::k, j::k] *= gk
+        _conv_bw(x, w, b, _pad(x, padding), gy, padding)
+    return Tensor(y, _parents=(x, w, b), _backward=_bw)

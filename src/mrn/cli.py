@@ -242,9 +242,12 @@ def cmd_eval(args):
          **dict(zip(ACCURACY_COLUMNS, evaluation.accuracy_row(r)))}
         for r in reports])
     for r in reports:
-        print(f"{r.protocol}: all={r.overall:.4f} " +
-              " ".join(f"{t}={r.per_type.get(t, float('nan')):.4f}"
-                       for t in evaluation.ANSWER_TYPES))
+        # a type with no examples has no accuracy, as in report.csv
+        cells = ("absent" if acc is None else f"{acc:.4f}"
+                 for acc in evaluation.accuracy_row(r))
+        print(f"{r.protocol}: " + " ".join(
+            f"{name}={cell}" for name, cell in
+            zip(("all",) + evaluation.ANSWER_TYPES, cells)))
     print(f"report: {path}")
     return 0
 
@@ -309,6 +312,13 @@ def cmd_gradcheck(args):
     targets = rng.integers(0, 3, size=3)
     report("softmax_cross_entropy", check_tensor_grad(
         lambda t: ad.softmax_cross_entropy(t, targets), a0))
+    # the CNN stage's input gradient, which viz reads; the model check
+    # below covers its weights and bias
+    img = rng.standard_normal((2, 2, 4, 4))
+    w = ad.Tensor(rng.standard_normal((3, 2, 3, 3)))
+    b = ad.Tensor(rng.standard_normal(3))
+    report("conv_tanh_pool.x", check_tensor_grad(
+        lambda t: ad.tsum(ad.conv_tanh_pool(t, w, b)), img))
     for name, err in check_full_model(seed=args.seed):
         report(f"model.{name}", err)
     if failures:

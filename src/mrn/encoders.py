@@ -9,7 +9,9 @@ steps the still-active prefix at each time step.
 
 The visual encoder is a small trainable CNN: two padded 3x3 convolutions
 with tanh and stride-2 average pooling, then a fully-connected map to the
-feature dimension. The conv stages run on consecutive runs of CNN_RUN
+feature dimension. Each conv + tanh + pool stage is one tape node
+(``autodiff.conv_tanh_pool``), which keeps its tanh map but not its padded
+input or pre-tanh map. The conv stages run on consecutive runs of CNN_RUN
 images, the linear map once on all of them.
 """
 
@@ -235,10 +237,8 @@ def cnn_forward(image, cnn, freeze=False):
         ad.take_rows(x, slice(i, i + CNN_RUN)) for i in range(0, n, CNN_RUN)]
     pooled = []
     for y in runs:
-        y = ad.tanh(ad.conv2d(y, p["conv1_w"], p["conv1_b"], padding=pad))
-        y = ad.avgpool2d(y, 2)
-        y = ad.tanh(ad.conv2d(y, p["conv2_w"], p["conv2_b"], padding=pad))
-        pooled.append(ad.avgpool2d(y, 2))
+        y = ad.conv_tanh_pool(y, p["conv1_w"], p["conv1_b"], pad)
+        pooled.append(ad.conv_tanh_pool(y, p["conv2_w"], p["conv2_b"], pad))
     y = pooled[0] if n <= CNN_RUN else ad.concat_rows(pooled)
     y = ad.reshape(y, (n, c.flat_size))
     return ad.linear(y, p["fc_w"], p["fc_b"])

@@ -1,8 +1,10 @@
 """Hot numeric kernels: 2-D convolution forward/backward in numpy.
 
 Both kernels operate on pre-padded inputs and compute a "valid"
-correlation; padding is the caller's job. ``autodiff.conv2d`` looks them up
-through this module at call time.
+correlation; padding is the caller's job. ``autodiff.conv_tanh_pool`` (the
+CNN's conv stage) and ``autodiff.conv2d`` (its reference) look them up
+through this module at call time. The stage keeps no padded input: its
+backward pads again before calling ``conv2d_backward``.
 
 Array conventions: images are (B, C, H, W), weights (O, C, kh, kw), all
 float64.

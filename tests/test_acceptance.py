@@ -97,6 +97,9 @@ def test_acceptance_1_gradient_fidelity():
     assert check_tensor_grad(
         lambda t: ad.tsum(ad.avgpool2d(t, 2)),
         rng.standard_normal((2, 2, 4, 4))) < tol
+    assert check_tensor_grad(
+        lambda t: ad.tsum(ad.conv_tanh_pool(t, w, cb, padding=1)),
+        rng.standard_normal((2, 2, 4, 4))) < tol
     # full L=3 variant-(b) VQA model, every parameter tensor
     results = check_full_model(seed=0)
     assert len(results) > 30

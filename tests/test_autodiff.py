@@ -383,6 +383,8 @@ OPS = {
         ad.conv2d, _normal(rng, (1, k, n + 1, m + 1), (2, k, 3, 3), (2,))),
     "avgpool2d": lambda rng, n, m, k: (ad.avgpool2d,
                                        _normal(rng, (1, k, 2 * n, 2 * m))),
+    "conv_tanh_pool": lambda rng, n, m, k: (ad.conv_tanh_pool, _normal(
+        rng, (n, k, 2 * m, 2 * k), (2, k, 3, 3), (2,))),
     "gru_step": lambda rng, n, m, k: (_gru_step, _normal(
         rng, (n, k), (n, m), *[(k, m), (m, m), (m,)] * 3)),
 }
@@ -434,3 +436,33 @@ def test_backward_from_a_constant_reaches_no_leaf():
     assert a.grad is None and b.grad is None
     # the root is a leaf like any other: it keeps the seed of ones
     assert loss.grad.shape == () and loss.grad == 1.0
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(bsz=st.integers(1, 9), c=st.integers(1, 3), o=st.integers(1, 4),
+       hc=st.sampled_from([2, 4, 6, 8]), wc=st.sampled_from([2, 4, 6, 8]),
+       padding=st.sampled_from([0, 1]), trainable=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv_tanh_pool_equals_composed_ops_bitwise(bsz, c, o, hc, wc,
+                                                    padding, trainable, seed):
+    # trainable: plain images into trainable weights, as training runs the
+    # stage; otherwise a pixel leaf into frozen weights, as viz runs it.
+    # hc x wc is the conv map; the input is that size less the padding's gain
+    h, w = hc + 2 - 2 * padding, wc + 2 - 2 * padding
+    rng = np.random.default_rng(seed)
+    x0, w0, b0, r0 = _normal(rng, (bsz, c, h, w), (o, c, 3, 3), (o,),
+                             (bsz, o, hc // 2, wc // 2))
+
+    def run(stage):
+        x = Tensor(x0, requires_grad=not trainable)
+        wt, bt = (Tensor(a, requires_grad=trainable) for a in (w0, b0))
+        y = stage(x, wt, bt)
+        ad.tsum(ad.mul(y, Tensor(r0))).backward()
+        return [y.data] + [t.grad for t in (x, wt, bt) if t.requires_grad]
+
+    fused = run(lambda x, wt, bt: ad.conv_tanh_pool(x, wt, bt, padding))
+    composed = run(lambda x, wt, bt: ad.avgpool2d(
+        ad.tanh(ad.conv2d(x, wt, bt, padding)), 2))
+    assert len(fused) == len(composed) == (3 if trainable else 2)
+    for a, b in zip(fused, composed):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -510,8 +510,8 @@ def test_gradcheck_command(capsys):
     assert rc == 0
     assert "all gradient checks passed" in out
     # every parameter tensor appears by name
-    for name in ("model.gru.emb", "model.cnn.conv1_w", "model.mrn.block1.w_q",
-                 "model.mrn.cls_w"):
+    for name in ("conv_tanh_pool.x", "model.gru.emb", "model.cnn.conv1_w",
+                 "model.mrn.block1.w_q", "model.mrn.cls_w"):
         assert name in out
 
 
@@ -537,6 +537,32 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert "FAIL" in out
+
+
+def test_gradcheck_detects_corrupted_stage_backward(monkeypatch, capsys):
+    # negative control: break the conv stage's input gradient, which the
+    # model check reaches only through conv1's parameters
+    from mrn import autodiff as ad
+
+    real_stage = ad.conv_tanh_pool
+
+    def bad_stage(x, w, b, padding=1):
+        out = real_stage(x, w, b, padding)
+        if out._backward is not None:
+            orig = out._backward
+
+            def corrupted(g):
+                orig(g)
+                if x.requires_grad:
+                    x.grad *= 1.5
+            out._backward = corrupted
+        return out
+
+    monkeypatch.setattr(ad, "conv_tanh_pool", bad_stage)
+    rc = main(["gradcheck", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "FAIL  conv_tanh_pool.x" in out
 
 
 def test_ablate_row_per_config(workdir, tmp_path):
@@ -599,3 +625,27 @@ def test_absent_answer_type_is_an_empty_cell_in_every_csv(tmp_path):
             assert row[prefix + "other"] == ""
             for col in ("yn", "num"):
                 assert 0.0 <= float(row[prefix + col]) <= 1.0
+
+
+def test_eval_console_line_prints_an_absent_type_as_absent(tmp_path, capsys):
+    # seed 3, 12 examples: the val split has no Other question
+    data = str(tmp_path / "ds.mrnd")
+    assert main(["gen", "--seed", "3", "--n", "12", "--out", str(tmp_path),
+                 "--data", data]) == 0
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", data, "--out", run, "--iters", "2",
+                 "--batch", "4"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", data, "--checkpoint",
+                 os.path.join(run, "model.ckpt"), "--split", "val",
+                 "--out", str(tmp_path / "eval")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = open(tmp_path / "eval" / "report.csv").read().splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["oe", "mc"]
+    for line, row in zip(lines[:2], report[1:]):
+        cells = dict(kv.split("=") for kv in line.split(": ")[1].split())
+        assert list(cells) == ["all", "Y/N", "Number", "Other"]
+        assert cells["Other"] == "absent" and row.endswith(",")
+        # a present type reads as in report.csv, to its four decimals
+        for cell, value in zip(list(cells.values())[:3], row.split(",")[1:4]):
+            assert cell == f"{float(value):.4f}"

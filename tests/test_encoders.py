@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -352,6 +354,32 @@ def test_frozen_cnn_on_plain_images_keeps_no_graph():
     v = cnn_forward(images, cnn, freeze=True)
     assert v.shape == (19, cnn.config.d_out) and not v.requires_grad
     assert v._parents == () and v._backward is None
+
+
+def test_trainable_cnn_graph_holds_only_maps_it_needs():
+    # a pinned-shape batch of 32 with trainable weights: each conv stage
+    # keeps its tanh map and its pooled output, not the padded input or the
+    # pre-tanh map (9.7 MB when conv, tanh and pool were separate nodes)
+    cnn = ToyCnn()
+    init_params(cnn.params, 0.08, 6)
+    c = cnn.config
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        images = np.random.default_rng(7).uniform(0, 1, (32, 3, 32, 32))
+        v = cnn_forward(images, cnn)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert v.requires_grad
+    side = c.image_size
+    run = encoders.CNN_RUN
+    per_run = run * (c.channels1 * (side**2 + (side // 2)**2)
+                     + c.channels2 * ((side // 2)**2 + (side // 4)**2))
+    floats = (images.size + 32 // run * per_run + 32 * c.flat_size
+              + 2 * 32 * c.d_out)   # fc: the product and its biased sum
+    # plus the tensors and closures themselves
+    assert held <= 8 * floats + 32 * 2**10
 
 
 def test_cnn_runs_match_one_pass(monkeypatch):

@@ -1,4 +1,8 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -6,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mrn
 from mrn import data as data_mod
 from mrn import encoders, kernels, training
 from mrn.autodiff import Tensor
@@ -226,6 +231,42 @@ def test_two_pinned_train_steps_peak_under_16_mb():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# twenty 1 MiB arrays allocated and freed, four times over; prints each
+# round's minor page faults
+FREED_HEAP_ROUNDS = """
+import resource
+import numpy as np
+import mrn
+
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 17) for _ in range(20)]
+    del arrays
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_freed_heap_stays_in_the_process():
+    # a fresh process, so no earlier test has grown its heap; with glibc's
+    # defaults each round maps its 20 MiB back in (about 5100 faults)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(mrn.__file__)))
+    proc = subprocess.run([sys.executable, "-c", FREED_HEAP_ROUNDS], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    faults = [int(line) for line in proc.stdout.split()]
+    assert len(faults) == 4
+    assert all(f < 500 for f in faults[1:]), faults
 
 
 @pytest.mark.parametrize("field", ["iterations", "eval_every"])
