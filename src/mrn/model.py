@@ -19,7 +19,7 @@ cascade of Eq. (6) without biases; that is this model with its biases at
 zero, where they start.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -149,7 +149,10 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
     initialize=False keeps the caller's parameter values instead of
     drawing fresh ones. With freeze_cnn the train split's
     features are computed once, before the first step; no dropout touches
-    them, so each step reads the same v as a CNN run on its batch.
+    them, so each step reads the v a CNN run on its batch gives, up to
+    rounding: the fc map rounds a row by the rows it shares a product
+    with, and under OpenBLAS's SkylakeX kernel the two are bit-equal only
+    for batches of 2-15 rows (at batch 32 they differ by up to 5.3e-16).
     """
     config.validate()
     if not train_set:

@@ -24,15 +24,6 @@ from .encoders import gru_forward  # noqa: F401
 from .model import ConfigError, ModelDims, MrnModel, mrn_forward
 
 CKPT_MAGIC = b"MRNCKPT1"
-# Images per CNN call when features are computed without gradients, for
-# two reasons (pinned model shape, 2 vCPUs, one OpenBLAS thread). First, a
-# row's bits must not depend on what shares its call: the fc map gives a
-# row other last bits once a call has 16 or more rows, while calls of 2-15
-# rows match 8-row slices to the bit. Second, one call over all misses
-# stacks every image: a cold 180-image val split peaked at 8.4 MiB
-# (tracemalloc) instead of 3.3 in slices of 8, the 630-image train split
-# at 25 MiB instead of 3.6. So a call is one of the CNN's runs.
-FEATURE_SLICE = encoders.CNN_RUN
 
 
 class VqaModel:
@@ -49,7 +40,7 @@ class VqaModel:
         self.gru = GruEncoder(vocab_size, d_emb, self.dims.d_q)
         self.cnn = ToyCnn(cnn_config)
         self.mrn = MrnModel(variant, self.dims)
-        # fixed_features' store: image key -> feature row, valid while the
+        # fixed_features' store: call key -> feature rows, valid while the
         # CNN weights equal, bit for bit, the copy taken when it was emptied
         self._feature_rows = {}
         self._feature_weights = None
@@ -76,43 +67,40 @@ class VqaModel:
         """(n, d_v) array of v for a sequence of n (C,H,W) images, read
         through constant CNN weights.
 
-        Each image's row is computed once per set of CNN weights and kept
-        in a store keyed by the sha256 of its float64 bytes, so an equal
-        image in another dtype or array shares the row. Every image must
-        have the CNN's (C,H,W) shape (ShapeError otherwise), so its bytes
-        alone tell it apart. Every call compares the CNN weights bit for
-        bit with the store's copy of them and empties the store if any bit
-        differs: RMSProp updates weights in place, so only their values
-        show a change. Only images missing from the store go to the CNN,
-        each once, in slices of FEATURE_SLICE images.
+        The rows are cnn_forward on consecutive slices of CNN_RUN images
+        of the call, concatenated, so they depend on the call and the CNN
+        weights alone, whatever the BLAS rounds differently for other row
+        counts. Slicing also keeps a call from stacking all its images at
+        once (the 630-image train split peaks at 25 MiB in one CNN call,
+        3.6 MiB in slices). Each call's rows are computed once per set of
+        CNN weights and kept in a store under one sha256 over its images'
+        float64 bytes, in order, so an equal call in another dtype shares
+        them; the call gets a copy. Every image must have the CNN's
+        (C,H,W) shape (ShapeError otherwise), so the bytes alone tell
+        calls apart. Every call compares the CNN weights bit for bit with
+        the store's copy of them and empties the store if any bit differs:
+        RMSProp updates weights in place, so only their values show a
+        change.
         """
         self._check_feature_weights()
         c = self.cnn.config
         shape = (c.in_channels, c.image_size, c.image_size)
-        keys, misses = [], {}
+        stack, digest = [], hashlib.sha256()
         for i, image in enumerate(images):
             a = np.ascontiguousarray(image, dtype=np.float64)
             if a.shape != shape:
                 raise ShapeError(f"fixed_features: image {i} has shape "
                                  f"{a.shape}, the CNN takes {shape}")
-            key = hashlib.sha256(a).digest()
-            keys.append(key)
-            if key not in self._feature_rows:
-                misses.setdefault(key, a)
-        new = list(misses)
-        for i in range(0, len(new), FEATURE_SLICE):
-            chunk = new[i:i + FEATURE_SLICE]
-            stack = [misses[key] for key in chunk]
-            if len(stack) == 1:
-                # numpy sends a one-row matmul down BLAS's matrix-vector
-                # path, whose last bits differ from those of the 2-8 row
-                # product, and a row's bits must not depend on what shares
-                # its call: a lone image runs as two copies
-                stack *= 2
-            rows = encoders.cnn_forward(np.stack(stack), self.cnn,
-                                        freeze=True).data
-            self._feature_rows.update(zip(chunk, rows))
-        return np.stack([self._feature_rows[key] for key in keys])
+            stack.append(a)
+            digest.update(a)
+        key = digest.digest()
+        if key not in self._feature_rows:
+            run = encoders.CNN_RUN
+            self._feature_rows[key] = np.concatenate([
+                encoders.cnn_forward(np.stack(stack[i:i + run]), self.cnn,
+                                     freeze=True).data
+                for i in range(0, len(stack), run)])
+        return self._feature_rows[key].copy()
 
     def _check_feature_weights(self):
         """Empty the feature store unless the CNN weights are bitwise the
@@ -134,7 +122,7 @@ class VqaModel:
     def predict_logits(self, images, batch):
         """(B, n_answers) logits array for a sequence of B (C,H,W) images
         and a batch of B questions: v from fixed_features (so from its store
-        for images already seen under these CNN weights), then one
+        when the same images were scored under these CNN weights), then one
         question/fusion forward over all B rows."""
         v = Tensor(self.fixed_features(images))
         return self.forward(v, batch)[1].data

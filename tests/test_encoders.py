@@ -305,8 +305,8 @@ def test_cnn_not_translation_invariant():
     img = np.zeros((3, 8, 8))
     img[:, 1:4, 1:4] = 1.0
     shifted = np.roll(img, 2, axis=2)
-    a = cnn_forward(img, cnn).data
-    b = cnn_forward(shifted, cnn).data
+    a = cnn_forward(img[None], cnn).data
+    b = cnn_forward(shifted[None], cnn).data
     assert np.max(np.abs(a - b)) > 1e-6
 
 

@@ -470,8 +470,7 @@ def test_batched_evaluate_matches_one_row_predict(protocol, postprocess,
 def test_one_fusion_forward_over_cnn_slices_of_8(n, monkeypatch, trained,
                                                  tmp_path):
     from mrn import encoders
-    from mrn.vqa import FEATURE_SLICE, VqaModel, load_checkpoint, \
-        save_checkpoint
+    from mrn.vqa import VqaModel, load_checkpoint, save_checkpoint
     model, ds = trained
     # a fresh copy: its feature store starts empty
     save_checkpoint(model, str(tmp_path / "m.ckpt"))
@@ -491,20 +490,13 @@ def test_one_fusion_forward_over_cnn_slices_of_8(n, monkeypatch, trained,
     monkeypatch.setattr(encoders, "cnn_forward", cnn_spy)
     monkeypatch.setattr(VqaModel, "forward", forward_spy)
     examples = ds.examples[:n]
-    distinct = {e.image.tobytes() for e in examples}
     evaluate(model, examples, "mc", True, ds.answer_vocab)
-    # one CNN row per distinct image, but for a lone image in the last
-    # slice, which runs as two copies of itself
-    assert len(cnn_calls) == -(-len(distinct) // FEATURE_SLICE)
-    assert [len(set(c)) for c in cnn_calls[:-1]] == \
-        [FEATURE_SLICE] * (len(cnn_calls) - 1)
-    assert sorted(sum((sorted(set(c)) for c in cnn_calls), [])) == \
-        sorted(distinct)
-    assert all(len(c) == len(set(c)) or (len(c), len(set(c))) == (2, 1)
-               for c in cnn_calls)
-    assert max(len(c) for c in cnn_calls) <= FEATURE_SLICE == 8
+    # the call's images in order, repeats included, 8 per CNN call
+    assert [len(c) for c in cnn_calls] == \
+        [min(8, n - i) for i in range(0, n, 8)]
+    assert sum(cnn_calls, []) == [e.image.tobytes() for e in examples]
     assert forwards == [n]
-    # a second evaluate on the same split reads every row from the store
+    # a second evaluate on the same split reads its rows from the store
     evaluate(model, examples, "oe", False, ds.answer_vocab)
-    assert len(cnn_calls) == -(-len(distinct) // FEATURE_SLICE)
+    assert len(cnn_calls) == -(-n // 8)
     assert forwards == [n, n]

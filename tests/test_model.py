@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mrn
 from mrn import autodiff as ad
+from mrn import encoders
 from mrn.autodiff import Tensor
 from mrn.container import FormatError
 from mrn.model import ConfigError, LearningBlock, ModelDims, MrnModel, \
@@ -569,7 +573,6 @@ def random_images(n, seed=0):
 @pytest.fixture
 def cnn_calls(monkeypatch):
     """The images of every CNN call, as bytes, one list per call."""
-    from mrn import encoders
     calls = []
     real = encoders.cnn_forward
 
@@ -587,42 +590,45 @@ def same_bits(a, b):
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_feature_rows_do_not_depend_on_what_shares_the_call(n):
+def test_feature_rows_are_cnn_forward_on_runs_of_the_call(n):
     images = random_images(n, seed=n)
-    cold = feature_model().fixed_features(images)
+    model = feature_model()
+    runs = [encoders.cnn_forward(np.stack(images[i:i + encoders.CNN_RUN]),
+                                 model.cnn, freeze=True).data
+            for i in range(0, n, encoders.CNN_RUN)]
+    cold = model.fixed_features(images)
+    assert same_bits(cold, np.concatenate(runs))
     assert cold.shape == (n, 64)
-    one_by_one = feature_model()
-    single = np.concatenate([one_by_one.fixed_features([im])
-                             for im in images])
-    perm = np.random.default_rng(n).permutation(n)
-    shuffled = feature_model().fixed_features([images[i] for i in perm])
-    doubled = feature_model().fixed_features(images + images[::-1])
-    assert same_bits(single, cold)
-    assert same_bits(shuffled, cold[perm])
-    assert same_bits(doubled, np.concatenate([cold, cold[::-1]]))
+    # images scored before, alone or in other calls, leave the rows alone
+    warm = feature_model()
+    for im in images:
+        warm.fixed_features([im])
+    warm.fixed_features(images[::-1] + random_images(3))
+    assert same_bits(warm.fixed_features(images), cold)
 
 
-def test_feature_store_computes_each_distinct_image_once(cnn_calls):
+def test_same_call_twice_runs_the_cnn_once(cnn_calls):
     model = feature_model()
-    images = random_images(12)
-    wanted = images[:10] + images[3:5] + images[:1]
-    first = model.fixed_features(wanted)
-    assert [len(c) for c in cnn_calls] == [8, 2]
-    assert sorted(sum(cnn_calls, [])) == sorted(im.tobytes()
-                                                for im in images[:10])
-    again = model.fixed_features(images[9::-1] + images[10:])
-    assert [len(c) for c in cnn_calls] == [8, 2, 2]
-    assert same_bits(again[:10], first[9::-1])
-    assert same_bits(model.fixed_features(wanted), first)
-    assert len(cnn_calls) == 3
+    images = random_images(10)
+    first = model.fixed_features(images)
+    assert cnn_calls == [[im.tobytes() for im in images[:8]],
+                         [im.tobytes() for im in images[8:]]]
+    assert same_bits(model.fixed_features(list(images)), first)
+    assert len(cnn_calls) == 2
+    # the key is the call: other orders and repeats are other calls
+    model.fixed_features(images[::-1])
+    model.fixed_features(images[:1] * 2)
+    assert [len(c) for c in cnn_calls] == [8, 2, 8, 2, 2]
 
 
-def test_lone_missing_image_runs_as_two_copies(cnn_calls):
+def test_mutating_returned_rows_leaves_the_store_alone(cnn_calls):
     model = feature_model()
-    images = random_images(9)
-    model.fixed_features(images[:8])
-    model.fixed_features(images)
-    assert cnn_calls[1:] == [[images[8].tobytes()] * 2]
+    images = random_images(3)
+    first = model.fixed_features(images)
+    want = first.copy()
+    first[:] = 0.0
+    assert same_bits(model.fixed_features(images), want)
+    assert len(cnn_calls) == 1
 
 
 def _sub_in_place(t):
@@ -682,8 +688,8 @@ def test_image_edited_in_place_is_recomputed(cnn_calls):
     before = model.fixed_features(images)
     images[1][0, 0, 0] += 0.5
     after = model.fixed_features(images)
-    assert cnn_calls[1] == [images[1].tobytes()] * 2
-    assert same_bits(after[[0, 2]], before[[0, 2]])
+    assert cnn_calls[1] == [im.tobytes() for im in images]
+    assert not np.array_equal(after[1], before[1])
     assert same_bits(after, feature_model().fixed_features(images))
 
 
@@ -700,7 +706,7 @@ def test_wrong_image_shape_still_raises_shape_error():
     images = random_images(3)
     with pytest.raises(ad.ShapeError):
         model.fixed_features([np.zeros((3, 9, 9))])
-    # as the first image of a cold call, or among stored ones
+    # as the second image of a call, or after the images of a stored call
     with pytest.raises(ad.ShapeError, match=r"image 1 has shape \(3, 9, 9\)"):
         model.fixed_features([images[0], np.zeros((3, 9, 9))])
     model.fixed_features(images)
@@ -708,3 +714,54 @@ def test_wrong_image_shape_still_raises_shape_error():
         model.fixed_features(images + [np.zeros((3, 16, 64))])
     with pytest.raises(ad.ShapeError):
         model.fixed_features([np.zeros((3, 32, 32, 1))])
+
+
+def _blas_takes_haswell_kernel():
+    """numpy's BLAS is OpenBLAS and the CPU can run its AVX2 kernel."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        with open("/proc/cpuinfo") as f:
+            avx2 = "avx2" in f.read().split()
+    except OSError:
+        return False
+    return "openblas" in blas.get("name", "").lower() and avx2
+
+
+# scores 9 images, then prints each n in 1..9 for which the rows of the
+# first n differ from a fresh model's
+REPEATED_PREFIXES = """
+import numpy as np
+from mrn.model import ModelDims
+from mrn.training import init_params
+from mrn.vqa import VqaModel
+
+
+def fresh():
+    model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
+        d_q=4, d_v=64, d_joint=5, n_answers=4, n_blocks=1))
+    init_params(model.named_parameters(), 0.08, 0)
+    return model
+
+
+images = list(np.random.default_rng(0).uniform(0, 1, (9, 3, 32, 32)))
+model = fresh()
+model.fixed_features(images)
+for n in range(1, 10):
+    a, b = model.fixed_features(images[:n]), fresh().fixed_features(images[:n])
+    if not np.array_equal(a.view(np.uint64), b.view(np.uint64)):
+        print(n)
+"""
+
+
+@pytest.mark.skipif(not _blas_takes_haswell_kernel(),
+                    reason="needs OpenBLAS on a CPU with AVX2")
+def test_feature_rows_do_not_depend_on_the_blas_kernel():
+    # under OpenBLAS's AVX2 kernel a row of the fc map rounds differently
+    # with the rows that share its product, so a call's rows must come
+    # from that call alone
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.path.dirname(os.path.dirname(mrn.__file__)))
+    proc = subprocess.run([sys.executable, "-c", REPEATED_PREFIXES],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.split() == []
