@@ -250,7 +250,10 @@ def take_rows(a, idx):
 
     def _bw(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if isinstance(idx, slice):
+            ga[idx] += g
+        else:
+            np.add.at(ga, idx, g)   # repeated indices add up
         a._accum(ga)
     return Tensor(a.data[idx], _parents=(a,), _backward=_bw)
 
@@ -304,17 +307,27 @@ def _pad(x, pad):
 
 
 def _conv(x, w, b, pad):
-    """(xp, y): x padded, and its correlation with w plus the bias b."""
-    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv2d: shapes {x.shape} and {w.shape}")
+    """(xp, y): x padded, and its correlation with w plus the bias b on the
+    padded-width grid (see kernels)."""
+    if (x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]
+            or b.shape != w.shape[:1] or pad < 0
+            or any(n + 2 * pad < k for n, k in zip(x.shape[2:], w.shape[2:]))):
+        raise ShapeError(f"conv2d: input {x.shape}, kernel {w.shape}, bias "
+                         f"{b.shape}, padding {pad}")
     xp = _pad(x, pad)
     y = kernels.conv2d_forward(xp, w.data)
     y += b.data[None, :, None, None]   # y is the kernel's fresh output
     return xp, y
 
 
+def _valid(y, w):
+    """The valid columns of a conv's grid y: the last kw - 1 are junk."""
+    return y[..., :y.shape[3] - w.shape[3] + 1]
+
+
 def _conv_bw(x, w, b, xp, gy, pad):
-    """Send the gradient gy at a conv's output to x, w and b, as asked."""
+    """Send the gradient gy on a conv's grid, zero in its junk columns, to
+    x, w and b, as asked."""
     gxp, gw = kernels.conv2d_backward(xp, w.data, gy, x.requires_grad,
                                       w.requires_grad)
     if x.requires_grad:
@@ -348,8 +361,10 @@ def conv2d(x, w, b, padding=1):
     xp, y = _conv(x, w, b, padding)
 
     def _bw(g):
-        _conv_bw(x, w, b, xp, g, padding)
-    return Tensor(y, _parents=(x, w, b), _backward=_bw)
+        # onto the grid, zero in its junk columns
+        gy = np.pad(g, [(0, 0)] * 3 + [(0, w.shape[3] - 1)])
+        _conv_bw(x, w, b, xp, gy, padding)
+    return Tensor(_valid(y, w).copy(), _parents=(x, w, b), _backward=_bw)
 
 
 def avgpool2d(x, k=2):
@@ -370,20 +385,24 @@ def conv_tanh_pool(x, w, b, padding=1):
 
     Same ops in the same order, so the value and every gradient equal the
     composed form's to the bit. The node keeps x (a parent) and the tanh
-    map; the padded input and the pre-tanh map are freed when the forward
-    returns, and the backward pads x again.
+    of the grid's valid columns; the padded input and the grid are freed
+    when the forward returns. The backward writes tanh' times the pool's
+    share into a zeroed grid and pads x again.
     """
     k = 2
-    _, a = _conv(x, w, b, padding)
-    np.tanh(a, out=a)
+    _, y = _conv(x, w, b, padding)
+    grid = y.shape
+    a = np.tanh(_valid(y, w))
     y = _pool(a, k)
 
     def _bw(g):
         # tanh' = 1 - a^2, times the pool's share g / k^2 at each tap
-        gy = a * a
-        np.subtract(1.0, gy, out=gy)
+        gy = np.zeros(grid)
+        gv = _valid(gy, w)
+        np.multiply(a, a, out=gv)
+        np.subtract(1.0, gv, out=gv)
         gk = g / (k * k)
         for i, j in _taps(k):
-            gy[:, :, i::k, j::k] *= gk
+            gv[:, :, i::k, j::k] *= gk
         _conv_bw(x, w, b, _pad(x, padding), gy, padding)
     return Tensor(y, _parents=(x, w, b), _backward=_bw)

@@ -319,6 +319,11 @@ def cmd_gradcheck(args):
     b = ad.Tensor(rng.standard_normal(3))
     report("conv_tanh_pool.x", check_tensor_grad(
         lambda t: ad.tsum(ad.conv_tanh_pool(t, w, b)), img))
+    # its weight gradient on a non-square input, whose padded rows are
+    # longer than its padded columns
+    wide = ad.Tensor(rng.standard_normal((2, 2, 4, 6)))
+    report("conv_tanh_pool.w", check_tensor_grad(
+        lambda t: ad.tsum(ad.conv_tanh_pool(wide, t, b)), w.data))
     for name, err in check_full_model(seed=args.seed):
         report(f"model.{name}", err)
     if failures:

@@ -25,10 +25,10 @@ from .autodiff import Tensor
 
 PAD_ID = 0
 # Images per run of the conv stages. A conv call's temporaries grow with the
-# images it is given: whole-batch calls (conv1's columns take 7 MB at batch
-# 32, conv2's input-gradient columns 4.7 MB) set a training step's memory
-# peak (tracemalloc, two pinned-shape batch-32 steps: 18.5 MiB, 14.6 MiB in
-# 8-image runs), and 8-image runs are no slower.
+# images it is given: in whole-batch calls conv1's forward columns (7.5 MB at
+# batch 32) set a training step's memory peak (tracemalloc, two pinned-shape
+# batch-32 steps: 11.8 MiB, 9.0 MiB in 8-image runs), and 8-image runs are
+# no slower (15.5 against 16.9 ms a step, one BLAS thread).
 CNN_RUN = 8
 # GruEncoder.step's parameters, in the order its tape node lists them
 GATE_PARAMS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_n", "u_n", "b_n")
@@ -215,8 +215,7 @@ def cnn_forward(image, cnn, freeze=False):
     """Images (B,C,H,W) -> features (B, d_out).
 
     Each run of CNN_RUN images goes through the conv stages on its own,
-    and the linear map reads their pooled maps concatenated; a call of at
-    most CNN_RUN images is one run.
+    and the linear map reads their pooled maps concatenated.
 
     freeze reads the weights through constant tensors that share their
     arrays (no copy), so no gradient reaches them and the conv backward
@@ -232,15 +231,11 @@ def cnn_forward(image, cnn, freeze=False):
     p = {k: (Tensor(v.data) if freeze else v) for k, v in cnn.params.items()}
     pad = c.kernel // 2
     n = x.shape[0]
-    # a call of at most CNN_RUN images skips take_rows, whose backward
-    # scatters with np.add.at even for a slice (viz's 3-image leaf: 79 us
-    # against 7.5 us for an in-place add, 2 vCPUs)
-    runs = [x] if n <= CNN_RUN else [
-        ad.take_rows(x, slice(i, i + CNN_RUN)) for i in range(0, n, CNN_RUN)]
     pooled = []
-    for y in runs:
+    for i in range(0, n, CNN_RUN):
+        y = ad.take_rows(x, slice(i, i + CNN_RUN))
         y = ad.conv_tanh_pool(y, p["conv1_w"], p["conv1_b"], pad)
         pooled.append(ad.conv_tanh_pool(y, p["conv2_w"], p["conv2_b"], pad))
-    y = pooled[0] if n <= CNN_RUN else ad.concat_rows(pooled)
+    y = ad.concat_rows(pooled)
     y = ad.reshape(y, (n, c.flat_size))
     return ad.linear(y, p["fc_w"], p["fc_b"])

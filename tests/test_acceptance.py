@@ -100,6 +100,10 @@ def test_acceptance_1_gradient_fidelity():
     assert check_tensor_grad(
         lambda t: ad.tsum(ad.conv_tanh_pool(t, w, cb, padding=1)),
         rng.standard_normal((2, 2, 4, 4))) < tol
+    wide = ad.Tensor(rng.standard_normal((2, 2, 4, 6)))
+    assert check_tensor_grad(
+        lambda t: ad.tsum(ad.conv_tanh_pool(wide, t, cb, padding=1)),
+        w.data) < tol
     # full L=3 variant-(b) VQA model, every parameter tensor
     results = check_full_model(seed=0)
     assert len(results) > 30

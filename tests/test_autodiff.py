@@ -247,6 +247,38 @@ def test_conv2d_gradient_finite_difference():
     assert err < 1e-4
 
 
+CONV_OPS = [ad.conv2d, ad.conv_tanh_pool]
+
+
+@pytest.mark.parametrize("op", CONV_OPS)
+def test_conv_rejects_bias_not_one_per_output_channel(op):
+    x, w, b = Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), \
+        Tensor(np.zeros(2))
+    with pytest.raises(ad.ShapeError, match=r"\(1, 1, 3, 3\).*\(2,\)"):
+        op(x, w, b, 1)
+
+
+@pytest.mark.parametrize("op", CONV_OPS)
+def test_conv_rejects_negative_padding(op):
+    x, w, b = Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), \
+        Tensor(np.zeros(1))
+    with pytest.raises(ad.ShapeError,
+                       match=r"\(1, 1, 4, 4\).*\(1, 1, 3, 3\).*-1"):
+        op(x, w, b, -1)
+
+
+@pytest.mark.parametrize("op", CONV_OPS)
+def test_conv_rejects_kernel_larger_than_padded_input(op):
+    x, w, b = Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))), \
+        Tensor(np.zeros(1))
+    with pytest.raises(ad.ShapeError,
+                       match=r"\(1, 1, 2, 2\).*\(1, 1, 5, 5\)"):
+        op(x, w, b, 0)
+    # a kernel as tall as the padded input gives one output row
+    assert ad.conv2d(Tensor(np.zeros((1, 1, 1, 3))), w, b, 2).shape == \
+        (1, 1, 1, 3)
+
+
 def test_avgpool_gradient():
     rng = np.random.default_rng(9)
     err = check_tensor_grad(

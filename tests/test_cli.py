@@ -508,8 +508,9 @@ def test_gradcheck_command(capsys):
     assert rc == 0
     assert "all gradient checks passed" in out
     # every parameter tensor appears by name
-    for name in ("conv_tanh_pool.x", "model.gru.emb", "model.cnn.conv1_w",
-                 "model.mrn.block1.w_q", "model.mrn.cls_w"):
+    for name in ("conv_tanh_pool.x", "conv_tanh_pool.w", "model.gru.emb",
+                 "model.cnn.conv1_w", "model.mrn.block1.w_q",
+                 "model.mrn.cls_w"):
         assert name in out
 
 

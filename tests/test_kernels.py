@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrn import autodiff as ad
-from mrn import kernels
+from mrn import encoders, kernels
 from mrn.autodiff import Tensor
 from mrn.encoders import CnnConfig
 
@@ -16,11 +19,23 @@ def rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def valid(y, kw):
+    """The valid columns of a kernel's (B, O, Ho, Wp) grid."""
+    return y[..., :y.shape[3] - kw + 1]
+
+
+def on_grid(gy, kw):
+    """gy (B, O, Ho, Wo) zero-padded onto the grid's junk columns."""
+    grid = np.zeros(gy.shape[:3] + (gy.shape[3] + kw - 1,))
+    grid[..., :gy.shape[3]] = gy
+    return grid
+
+
 def test_forward_matches_direct_sum():
     rng = np.random.default_rng(2)
     xp = rng.standard_normal((1, 2, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3))
-    y = kernels.conv2d_forward(xp, w)
+    y = valid(kernels.conv2d_forward(xp, w), 3)
     expect = np.zeros((1, 3, 3, 3))
     for o in range(3):
         for i in range(3):
@@ -34,7 +49,7 @@ def test_forward_matches_direct_sum_per_layer(bsz, c, o):
     rng = np.random.default_rng(10 + c)
     xp = rng.standard_normal((bsz, c, 7, 6))
     w = rng.standard_normal((o, c, 3, 3))
-    y = kernels.conv2d_forward(xp, w)
+    y = valid(kernels.conv2d_forward(xp, w), 3)
     expect = np.zeros((bsz, o, 5, 4))
     for b in range(bsz):
         for k in range(o):
@@ -52,7 +67,7 @@ def test_backward_matches_direct_sums(bsz, c, o):
     xp = rng.standard_normal((bsz, c, 7, 6))
     w = rng.standard_normal((o, c, 3, 3))
     gy = rng.standard_normal((bsz, o, 5, 4))
-    gxp, gw = kernels.conv2d_backward(xp, w, gy)
+    gxp, gw = kernels.conv2d_backward(xp, w, on_grid(gy, 3))
     expect_gx = np.zeros_like(xp)
     expect_gw = np.zeros_like(w)
     for b in range(bsz):
@@ -66,14 +81,15 @@ def test_backward_matches_direct_sums(bsz, c, o):
 
 
 def test_batch_spanning_im2col_buffers_matches_direct_sums():
-    # more examples than one CNN run: one column buffer holds them all
+    # more examples than one CNN run: the forward's column buffer and the
+    # backward's batched GEMMs hold them all
     bsz = 11
     rng = np.random.default_rng(20)
     xp = rng.standard_normal((bsz, 3, 6, 5))
     w = rng.standard_normal((4, 3, 3, 3))
     gy = rng.standard_normal((bsz, 4, 4, 3))
-    y = kernels.conv2d_forward(xp, w)
-    _, gw = kernels.conv2d_backward(xp, w, gy, need_gx=False)
+    y = valid(kernels.conv2d_forward(xp, w), 3)
+    _, gw = kernels.conv2d_backward(xp, w, on_grid(gy, 3), need_gx=False)
     expect_y = np.zeros_like(y)
     expect_gw = np.zeros_like(w)
     for b in range(bsz):
@@ -92,7 +108,7 @@ def test_backward_skips_gradients_not_asked_for(bsz, c, o):
     rng = np.random.default_rng(o)
     xp = rng.standard_normal((bsz, c, 6, 6))
     w = rng.standard_normal((o, c, 3, 3))
-    gy = rng.standard_normal((bsz, o, 4, 4))
+    gy = on_grid(rng.standard_normal((bsz, o, 4, 4)), 3)
     gxp, gw = kernels.conv2d_backward(xp, w, gy)
     gx_only, none_w = kernels.conv2d_backward(xp, w, gy, need_gw=False)
     none_x, gw_only = kernels.conv2d_backward(xp, w, gy, need_gx=False)
@@ -100,6 +116,68 @@ def test_backward_skips_gradients_not_asked_for(bsz, c, o):
     # skipping one gradient leaves the other bit-identical
     assert np.array_equal(gx_only, gxp) and np.array_equal(gw_only, gw)
     assert kernels.conv2d_backward(xp, w, gy, False, False) == (None, None)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(bsz=st.integers(1, 9), c=st.integers(1, 4), o=st.integers(1, 4),
+       kh=st.integers(1, 4), kw=st.integers(1, 4), pad=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_grid_kernels_match_direct_sums(bsz, c, o, kh, kw, pad, seed, data):
+    h = data.draw(st.integers(max(1, kh - 2 * pad), 9), "h")
+    w_ = data.draw(st.integers(max(1, kw - 2 * pad), 9), "w")
+    # the kernels take any padded input: its border is random here too, so
+    # a tap read from the wrong row of a map cannot meet zeros
+    rng = np.random.default_rng(seed)
+    xp = rng.standard_normal((bsz, c, h + 2 * pad, w_ + 2 * pad))
+    w = rng.standard_normal((o, c, kh, kw))
+    ho, wo = h + 2 * pad - kh + 1, w_ + 2 * pad - kw + 1
+    gy = rng.standard_normal((bsz, o, ho, wo))
+    expect_y = np.zeros((bsz, o, ho, wo))
+    expect_gx = np.zeros_like(xp)
+    expect_gw = np.zeros_like(w)
+    for i in range(ho):
+        for j in range(wo):
+            win = xp[:, :, i:i + kh, j:j + kw]
+            expect_y[:, :, i, j] = np.einsum("bcuv,ocuv->bo", win, w)
+            expect_gw += np.einsum("bo,bcuv->ocuv", gy[:, :, i, j], win)
+            expect_gx[:, :, i:i + kh, j:j + kw] += np.einsum(
+                "bo,ocuv->bcuv", gy[:, :, i, j], w)
+    y = kernels.conv2d_forward(xp, w)
+    assert y.shape == (bsz, o, ho, xp.shape[3])
+    assert rel(valid(y, kw), expect_y) < 1e-12
+    grid = on_grid(gy, kw)
+    gxp, gw = kernels.conv2d_backward(xp, w, grid)
+    assert rel(gxp, expect_gx) < 1e-12
+    assert rel(gw, expect_gw) < 1e-12
+    # asking for one gradient leaves the other bit-identical
+    assert np.array_equal(kernels.conv2d_backward(xp, w, grid, True, False)[0],
+                          gxp)
+    assert np.array_equal(kernels.conv2d_backward(xp, w, grid, False, True)[1],
+                          gw)
+
+
+def test_conv1_stage_backward_peaks_at_grid_and_padded_input():
+    # an 8-image conv1-shaped stage with trainable weights: the backward
+    # holds the grid gradient, the padded input and the pool's share of the
+    # incoming gradient, and no column buffer (2.54 MiB with im2col columns)
+    rng = np.random.default_rng(4)
+    n, c, o, side = encoders.CNN_RUN, CNN.in_channels, CNN.channels1, \
+        CNN.image_size
+    x = Tensor(rng.uniform(0, 1, (n, c, side, side)))
+    w = Tensor(0.1 * rng.standard_normal((o, c, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(o), requires_grad=True)
+    y = ad.conv_tanh_pool(x, w, b, 1)
+    g = rng.standard_normal(y.shape)
+    tracemalloc.start()
+    try:
+        y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = n * o * side * (side + 2)
+    padded = n * c * (side + 2) ** 2
+    assert w.grad is not None and b.grad is not None
+    assert peak <= 8 * (grid + padded + g.size) + 32 * 2**10
 
 
 @pytest.mark.parametrize("k", [2, 4])
