@@ -22,9 +22,8 @@ graph holds no reference cycle: it is freed by reference counting as soon
 as its last reference drops, without waiting for the cyclic collector.
 
 Ops are called by name (``add(a, b)``); Tensor overloads no operators.
-Elementwise ops require identical shapes; the only broadcasting allowed is
-a 0-d tensor against a tensor. Row-vector bias addition is its own op
-(``add_bias``) so the rule stays explicit.
+Elementwise ops require identical shapes and never broadcast. Row-vector
+bias addition is its own op (``add_bias``) so the rule stays explicit.
 """
 
 import numpy as np
@@ -55,10 +54,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
 
     def detach(self):
         """Copy of the value, cut off from the graph."""
@@ -119,31 +114,22 @@ class Tensor:
 
 
 def _check_elementwise(a, b, opname):
-    if a.shape == b.shape:
-        return
-    if a.ndim == 0 or b.ndim == 0:
-        return
-    raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ "
-                     "(only scalar broadcasting is supported)")
+    if a.shape != b.shape:
+        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ")
 
 
 # ---------------------------------------------------------------------------
 # elementwise
-
-def _accum_maybe_scalar(t, g):
-    # scalar operands collect the sum of the broadcast gradient
-    t._accum(g if t.ndim == g.ndim else np.asarray(g.sum()))
-
 
 def add(a, b):
     _check_elementwise(a, b, "add")
 
     def _bw(g):
         if a.requires_grad:
-            _accum_maybe_scalar(a, g)
+            a._accum(g)
         if b.requires_grad:
             # a may keep g and add into it later: b gets its own array
-            _accum_maybe_scalar(b, g.copy() if a.requires_grad else g)
+            b._accum(g.copy() if a.requires_grad else g)
     return Tensor(a.data + b.data, _parents=(a, b), _backward=_bw)
 
 
@@ -152,9 +138,9 @@ def sub(a, b):
 
     def _bw(g):
         if a.requires_grad:
-            _accum_maybe_scalar(a, g)
+            a._accum(g)
         if b.requires_grad:
-            _accum_maybe_scalar(b, -g)
+            b._accum(-g)
     return Tensor(a.data - b.data, _parents=(a, b), _backward=_bw)
 
 
@@ -163,9 +149,9 @@ def mul(a, b):
 
     def _bw(g):
         if a.requires_grad:
-            _accum_maybe_scalar(a, g * b.data)
+            a._accum(g * b.data)
         if b.requires_grad:
-            _accum_maybe_scalar(b, g * a.data)
+            b._accum(g * a.data)
     return Tensor(a.data * b.data, _parents=(a, b), _backward=_bw)
 
 
@@ -229,13 +215,6 @@ def tsum(a):
     def _bw(g):
         a._accum(np.full_like(a.data, float(g)))
     return Tensor(a.data.sum(), _parents=(a,), _backward=_bw)
-
-
-def tmean(a):
-
-    def _bw(g):
-        a._accum(np.full_like(a.data, float(g) / a.size))
-    return Tensor(a.data.mean(), _parents=(a,), _backward=_bw)
 
 
 def reshape(a, shape):

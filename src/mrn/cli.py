@@ -170,11 +170,19 @@ def cmd_gen(args):
     return 0
 
 
+def _too_large(exc, flags):
+    """The error for a model the size flags make too large to allocate."""
+    return ValidationError(f"cannot allocate the model ({exc}); lower {flags}")
+
+
 def _make_model(args, ds):
     dims = ModelDims(d_q=args.d_q, d_v=args.d_v, d_joint=args.dim,
                      n_answers=len(ds.answer_vocab), n_blocks=args.blocks)
-    return VqaModel(vocab_size=len(ds.question_vocab), d_emb=args.d_emb,
-                    variant=args.variant, dims=dims)
+    try:
+        return VqaModel(vocab_size=len(ds.question_vocab), d_emb=args.d_emb,
+                        variant=args.variant, dims=dims)
+    except MemoryError as exc:
+        raise _too_large(exc, "--blocks, --dim, --d-q, --d-v or --d-emb")
 
 
 def _train_config(args):
@@ -189,8 +197,8 @@ def cmd_train(args):
     ds = data_mod.load(args.data)
     model = _make_model(args, ds)
     config = _train_config(args)
-    eval_fn = lambda m, s: evaluation.evaluate(m, s, "oe",
-                                               vocab=ds.answer_vocab)
+    eval_fn = lambda m, s: evaluation.evaluate(m, s, "oe", False,
+                                               ds.answer_vocab)
     result = training.train(model, ds.split("train"), config,
                             val_set=ds.split("val"), evaluate_fn=eval_fn)
     ckpt = os.path.join(args.out, "model.ckpt")
@@ -198,10 +206,10 @@ def cmd_train(args):
     metrics = os.path.join(args.out, "metrics.csv")
     _write_csv(metrics, ["iteration", "train_loss", "val_overall", "val_yn",
                          "val_num", "val_other"], result.metrics)
-    final = result.metrics[-1] if result.metrics else {}
+    final = result.metrics[-1]
     print(f"trained {args.variant}/L={args.blocks}: "
-          f"final train_loss={final.get('train_loss', float('nan')):.4f} "
-          f"val_overall={final.get('val_overall', float('nan')):.4f}")
+          f"final train_loss={final['train_loss']:.4f} "
+          f"val_overall={final['val_overall']:.4f}")
     print(f"checkpoint: {ckpt}\nmetrics: {metrics}")
     return 0
 
@@ -259,14 +267,19 @@ def cmd_ablate(args):
                          learning_rate=args.lr, dropout_rate=args.dropout,
                          seed=args.seed, eval_every=args.iters)
     rows = []
-    for r in training.ablation_sweep(ds, config, args.dim, args.budget_dim):
-        row = {"variant": r["variant"], "blocks": r["blocks"], "dim": r["dim"],
-               "params": r["params"],
-               **dict(zip(ACCURACY_COLUMNS,
-                          evaluation.accuracy_row(r["report"])))}
-        rows.append(row)
-        print(f"{row['variant']:>2} L={row['blocks']} dim={row['dim']:>4} "
-              f"params={row['params']:>8} all={row['all']:.4f}")
+    sweep = training.ablation_sweep(ds, config, args.dim, args.budget_dim)
+    try:
+        for r in sweep:
+            row = {"variant": r["variant"], "blocks": r["blocks"],
+                   "dim": r["dim"], "params": r["params"],
+                   **dict(zip(ACCURACY_COLUMNS,
+                              evaluation.accuracy_row(r["report"])))}
+            rows.append(row)
+            print(f"{row['variant']:>2} L={row['blocks']} dim={row['dim']:>4}"
+                  f" params={row['params']:>8} all={row['all']:.4f}")
+    except MemoryError as exc:
+        # the sweep builds its models, and trains them, at these sizes
+        raise _too_large(exc, "--dim or --budget-dim")
 
     path = os.path.join(args.out, "ablation.csv")
     _write_csv(path, list(rows[0]), rows)

@@ -145,7 +145,7 @@ def gru_forward(batch, enc, counter=None, input_dropout=None):
         h_new = enc.step(x, h)
         active = (t < batch.lengths).astype(np.float64)
         m = Tensor(np.repeat(active[:, None], enc.d_hidden, axis=1))
-        h = ad.add(ad.mul(h_new, m), ad.mul(h, ad.sub(Tensor(1.0), m)))
+        h = ad.add(ad.mul(h_new, m), ad.mul(h, Tensor(1.0 - m.data)))
         if counter is not None:
             counter.row_steps += bsz
     return h

@@ -69,15 +69,12 @@ def _check_rows(scores, per_row, what):
 
 
 def multiple_choice_mask(scores, candidates):
-    """A copy of scores with every answer outside the candidates at -inf.
+    """A copy of the (n, A) scores with every answer outside each row's
+    candidates at -inf.
 
-    scores (A,) take one candidate set; scores (n, A) take a sequence of n
-    sets, one per row, and the first row with an empty set or an id outside
-    0..A-1 raises.
+    candidates is a sequence of n sets, one per row; the first row with an
+    empty set or an id outside 0..A-1 raises.
     """
-    scores = np.asarray(scores)
-    if scores.ndim == 1:
-        return multiple_choice_mask(scores[None], [candidates])[0]
     _check_rows(scores, candidates, "candidate sets")
     rows, cand = _row_index(candidates)
     empty = next((k for k, c in enumerate(candidates) if len(c) == 0),
@@ -106,19 +103,16 @@ def _caption_bumps(vocab):
     return bumps
 
 
-def caption_postprocess(pre_softmax, caption, vocab):
+def caption_postprocess(pre_softmax, captions, vocab):
     """+1 bump for non-number, non-yes/no answers occurring as caption tokens.
 
-    Returns a float64 copy. Scores (A,) take one caption; scores (n, A) take
-    a sequence of n captions, one per row, and every row's bumps go in by
-    one indexed add.
+    Returns a float64 copy of the (n, A) scores; captions holds one caption
+    per row, and every row's bumps go in by one indexed add.
     """
     out = np.array(pre_softmax, dtype=np.float64, copy=True)
-    captions = [caption] if out.ndim == 1 else caption
-    rows = out.reshape(-1, out.shape[-1])
-    _check_rows(rows, captions, "captions")
+    _check_rows(out, captions, "captions")
     bumps = _caption_bumps(tuple(vocab))
-    rows[_row_index([bumps(c) for c in captions])] += 1.0
+    out[_row_index([bumps(c) for c in captions])] += 1.0
     return out
 
 
@@ -156,8 +150,7 @@ def accuracy_row(report):
     return [report.overall] + [report.per_type.get(t) for t in ANSWER_TYPES]
 
 
-def predict_batch(model, examples, protocol="oe", postprocess=False,
-                  vocab=None):
+def predict_batch(model, examples, protocol, postprocess, vocab):
     """Predicted answer ids for examples, scored in one forward.
 
     The prediction is the answer with the largest logit (after
@@ -167,7 +160,6 @@ def predict_batch(model, examples, protocol="oe", postprocess=False,
     """
     if not examples:
         return []
-    vocab = vocab if vocab is not None else _default_vocab()
     batch = QuestionBatch.pad([e.question for e in examples])
     logits = model.predict_logits([e.image for e in examples], batch)
     if postprocess:
@@ -186,7 +178,7 @@ def predict_batch(model, examples, protocol="oe", postprocess=False,
     return np.argmax(logits, axis=1).tolist()
 
 
-def predict(model, example, protocol="oe", postprocess=False, vocab=None):
+def predict(model, example, protocol, postprocess, vocab):
     """Predicted answer id for one example under the given protocol."""
     return predict_batch(model, [example], protocol, postprocess, vocab)[0]
 
@@ -203,11 +195,10 @@ def predict(model, example, protocol="oe", postprocess=False, vocab=None):
 EVAL_BATCH = 64
 
 
-def evaluate(model, examples, protocol="oe", postprocess=False, vocab=None):
+def evaluate(model, examples, protocol, postprocess, vocab):
     """Score a model on a list of examples; returns an EvalReport."""
     if protocol not in ("oe", "mc"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    vocab = vocab if vocab is not None else _default_vocab()
     thirds = {}
     for start in range(0, len(examples), EVAL_BATCH):
         chunk = examples[start:start + EVAL_BATCH]
@@ -216,8 +207,3 @@ def evaluate(model, examples, protocol="oe", postprocess=False, vocab=None):
                 (vocab[i] for i in preds), (e.humans for e in chunk))):
             thirds.setdefault(e.answer_type, []).append(score)
     return EvalReport.aggregate(protocol, thirds)
-
-
-def _default_vocab():
-    from .data import ANSWER_VOCAB
-    return ANSWER_VOCAB

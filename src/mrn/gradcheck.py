@@ -9,6 +9,7 @@ threshold.
 import numpy as np
 
 from . import autodiff as ad
+from . import encoders
 from .autodiff import Tensor
 from .encoders import CnnConfig, QuestionBatch
 from .model import ModelDims
@@ -68,12 +69,14 @@ def tiny_model(seed=0, variant="b", n_blocks=3):
     return model
 
 
-def tiny_batch(seed=0, batch_size=2, maxlen=4, image_size=8, vocab=6):
+def tiny_batch(seed=0):
+    """Two random examples for tiny_model: (images, QuestionBatch,
+    targets), with questions of 1-4 tokens."""
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(1, maxlen + 1, size=batch_size)
-    questions = [rng.integers(1, vocab, size=n) for n in lengths]
-    images = rng.uniform(0, 1, size=(batch_size, 3, image_size, image_size))
-    targets = rng.integers(0, 4, size=batch_size)
+    lengths = rng.integers(1, 5, size=2)
+    questions = [rng.integers(1, 6, size=n) for n in lengths]
+    images = rng.uniform(0, 1, size=(2, 3, 8, 8))
+    targets = rng.integers(0, 4, size=2)
     return images, QuestionBatch.pad(questions), targets
 
 
@@ -83,18 +86,18 @@ def check_full_model(seed=0):
     Returns a list of (name, max_rel_err), sorted by name.
     """
     model = tiny_model(seed)
-    images, batch, targets = tiny_batch(seed, image_size=model.cnn.config.image_size,
-                                        vocab=model.vocab_size)
+    images, batch, targets = tiny_batch(seed)
     params = model.named_parameters()
 
     def loss_value():
-        _, logits = model.forward(model.features(images), batch)
+        _, logits = model.forward(encoders.cnn_forward(images, model.cnn),
+                                  batch)
         return ad.softmax_cross_entropy(logits, targets)
 
     loss = loss_value()
     loss.backward()
-    analytic = {n: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for n, t in params.items()}
+    # every parameter reaches the loss, so each has a gradient
+    analytic = {n: t.grad.copy() for n, t in params.items()}
     results = []
     for name in sorted(params):
         t = params[name]

@@ -186,7 +186,7 @@ def mrn_forward(q, v, model, joint_dropout=None):
 
 def param_count(model):
     """Learnable scalars in blocks + classifier (encoders excluded)."""
-    return sum(t.size for t in model.named_parameters().values())
+    return sum(t.data.size for t in model.named_parameters().values())
 
 
 def solve_dim_for_budget(variant, n_blocks, d_q, d_v, n_answers,

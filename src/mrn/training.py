@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import evaluation
+# cnn_forward is looked up through its module at call time, so a wrapper set
+# on encoders.cnn_forward (a profiler, a test double) applies here too
+from . import encoders, evaluation
 from .autodiff import Tensor
 from .encoders import QuestionBatch
 from .model import ModelDims, MrnModel, param_count, solve_dim_for_budget
@@ -111,7 +113,6 @@ def dropout(x, rate, rng=None, mask=None):
 
 @dataclass
 class TrainResult:
-    model: object
     metrics: list = field(default_factory=list)   # rows of metric dicts
     train_losses: list = field(default_factory=list)
 
@@ -124,7 +125,8 @@ def _loss_and_backward(model, examples, v, input_dropout, joint_dropout,
     The graph is freed on return, before the next one is built.
     """
     if v is None:
-        v = model.features(np.stack([e.image for e in examples]))
+        v = encoders.cnn_forward(np.stack([e.image for e in examples]),
+                                 model.cnn)
     else:
         v = Tensor(v)
     _, logits = model.forward(
@@ -168,7 +170,7 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
     state = {}
     rng_data = np.random.default_rng((config.seed, 1))
     rng_drop = np.random.default_rng((config.seed, 2))
-    result = TrainResult(model=model)
+    result = TrainResult()
     order = []
     for it in range(1, config.iterations + 1):
         if len(order) < config.batch_size:
@@ -242,7 +244,7 @@ def ablation_sweep(ds, config, dim, budget_dim):
                              variant=variant, dims=dims)
             train(model, ds.split("train"), config)
             trained[key] = (model, evaluation.evaluate(
-                model, ds.split("val"), "oe", vocab=ds.answer_vocab))
+                model, ds.split("val"), "oe", False, ds.answer_vocab))
         model, report = trained[key]
         yield {"sweep": sweep, "variant": variant, "blocks": n_blocks,
                "dim": d_joint, "params": param_count(model.mrn),

@@ -58,11 +58,6 @@ class VqaModel:
             out[f"mrn.{k}"] = t
         return out
 
-    def features(self, images):
-        """v = CNN(images) for (B,C,H,W) images, a tape node whose gradient
-        reaches the CNN weights."""
-        return encoders.cnn_forward(images, self.cnn)
-
     def fixed_features(self, images):
         """(n, d_v) array of v for a sequence of n (C,H,W) images, read
         through constant CNN weights.

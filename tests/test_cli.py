@@ -282,6 +282,21 @@ def test_ablate_zero_dim_exit_code(workdir, tmp_path, capsys, dim,
     assert not (tmp_path / "ablation.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_model_too_large_to_allocate_exit_code(workdir, tmp_path, capsys,
+                                               command):
+    # a (d, 10**12) parameter needs terabytes: numpy's allocation fails at
+    # once, without touching memory
+    rc = main([command, "--data", str(workdir / "ds.mrnd"),
+               "--out", str(tmp_path), "--iters", "2", "--batch", "4",
+               "--dim", str(10**12)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot allocate the model" in err and "--dim" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_bad_checkpoint_header_exit_code(workdir, tmp_path, capsys):
     path = tmp_path / "bad.ckpt"
     hb = b'{"vocab_size": 5}'

@@ -135,7 +135,8 @@ def composed_step(enc, x, h):
                            ad.matmul(h, p["u_r"])))
     n = ad.tanh(ad.add(ad.linear(x, p["w_n"], p["b_n"]),
                        ad.matmul(ad.mul(rg, h), p["u_n"])))
-    return ad.add(ad.mul(zg, h), ad.mul(ad.sub(Tensor(1.0), zg), n))
+    one = Tensor(np.ones(zg.shape))
+    return ad.add(ad.mul(zg, h), ad.mul(ad.sub(one, zg), n))
 
 
 def trimzero_step_loss(step, enc, x, h, weights):

@@ -61,40 +61,40 @@ def test_classify_answer_type(answer, expected):
 # multiple choice masking
 
 def test_mask_full_vocabulary_is_identity_on_argmax():
-    probs = np.array([0.1, 0.5, 0.4])
-    masked = multiple_choice_mask(probs, [0, 1, 2])
+    probs = np.array([[0.1, 0.5, 0.4]])
+    masked = multiple_choice_mask(probs, [[0, 1, 2]])
     assert np.array_equal(masked, probs)
 
 
 def test_mask_single_candidate_wins():
-    probs = np.array([0.9, 0.05, 0.05])
-    masked = multiple_choice_mask(probs, [2])
-    assert int(np.argmax(masked)) == 2
+    probs = np.array([[0.9, 0.05, 0.05]])
+    masked = multiple_choice_mask(probs, [[2]])
+    assert int(np.argmax(masked[0])) == 2
 
 
 def test_mask_hand_case():
-    probs = np.array([0.5, 0.3, 0.2])
-    masked = multiple_choice_mask(probs, [1, 2])
-    assert int(np.argmax(masked)) == 1
+    probs = np.array([[0.5, 0.3, 0.2]])
+    masked = multiple_choice_mask(probs, [[1, 2]])
+    assert int(np.argmax(masked[0])) == 1
 
 
 def test_mask_prediction_in_candidates_property():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        probs = rng.random(12)
+        probs = rng.random((1, 12))
         cands = rng.choice(12, size=rng.integers(1, 12), replace=False)
-        masked = multiple_choice_mask(probs, list(cands))
-        assert int(np.argmax(masked)) in set(int(c) for c in cands)
+        masked = multiple_choice_mask(probs, [list(cands)])
+        assert int(np.argmax(masked[0])) in set(int(c) for c in cands)
 
 
 def test_mask_empty_candidates():
     with pytest.raises(ValueError):
-        multiple_choice_mask(np.ones(3), [])
+        multiple_choice_mask(np.ones((1, 3)), [[]])
 
 
 def test_mask_bad_candidate_id():
     with pytest.raises(IndexError):
-        multiple_choice_mask(np.ones(3), [5])
+        multiple_choice_mask(np.ones((1, 3)), [[5]])
 
 
 # ---------------------------------------------------------------------------
@@ -104,25 +104,25 @@ VOCAB = ["yes", "no", "2", "red", "cat"]
 
 
 def test_caption_empty_no_change():
-    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.array_equal(caption_postprocess(x, "", VOCAB), x)
+    x = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
+    assert np.array_equal(caption_postprocess(x, [""], VOCAB), x)
 
 
 def test_caption_never_bumps_yes_no_or_numbers():
-    x = np.zeros(5)
-    out = caption_postprocess(x, "yes no 2 red cat", VOCAB)
-    assert out.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
+    x = np.zeros((1, 5))
+    out = caption_postprocess(x, ["yes no 2 red cat"], VOCAB)
+    assert out.tolist() == [[0.0, 0.0, 0.0, 1.0, 1.0]]
 
 
 def test_caption_bumps_matching_other_answer():
-    x = np.zeros(5)
-    out = caption_postprocess(x, "a red thing", VOCAB)
+    x = np.zeros((1, 5))
+    out = caption_postprocess(x, ["a red thing"], VOCAB)[0]
     assert out[3] == 1.0 and out[4] == 0.0
 
 
 def test_caption_token_not_substring_match():
-    x = np.zeros(5)
-    out = caption_postprocess(x, "infrared catalog", VOCAB)
+    x = np.zeros((1, 5))
+    out = caption_postprocess(x, ["infrared catalog"], VOCAB)
     assert np.array_equal(out, x)
 
 
@@ -132,7 +132,7 @@ def test_caption_property_random():
     for _ in range(100):
         caption = " ".join(rng.choice(words, size=rng.integers(0, 6)))
         x = rng.standard_normal(5)
-        out = caption_postprocess(x, caption, VOCAB)
+        out = caption_postprocess(x[None], [caption], VOCAB)[0]
         toks = set(caption.split())
         for i, ans in enumerate(VOCAB):
             if classify_answer_type(ans) != "Other":
@@ -216,7 +216,7 @@ def test_perfect_oracle_scores_high(toy_ds):
         total = []
         for e in toy_ds.examples:
             model.current = e.answer_id
-            pred = predict(model, e, proto, vocab=vocab)
+            pred = predict(model, e, proto, False, vocab)
             total.append(vqa_accuracy(vocab[pred], e.humans))
         scores.append(np.mean(total))
     assert scores[0] == 1.0 and scores[1] == 1.0
@@ -232,7 +232,7 @@ def test_constant_predictor_matches_base_rate(toy_ds):
             logits[:, const_id] = 10.0
             return logits
 
-    report = evaluate(ConstModel(), toy_ds.examples, "oe", vocab=vocab)
+    report = evaluate(ConstModel(), toy_ds.examples, "oe", False, vocab)
     expect = np.mean([vqa_accuracy("yes", e.humans) for e in toy_ds.examples])
     assert report.overall == pytest.approx(expect, abs=1e-12)
 
@@ -243,15 +243,16 @@ def test_mc_requires_candidates(toy_ds):
     e.candidates = []
     try:
         with pytest.raises(ValueError):
-            predict(OracleModel([e], toy_ds.answer_vocab), e, "mc",
-                    vocab=toy_ds.answer_vocab)
+            predict(OracleModel([e], toy_ds.answer_vocab), e, "mc", False,
+                    toy_ds.answer_vocab)
     finally:
         e.candidates = saved
 
 
 def test_unknown_protocol(toy_ds):
     with pytest.raises(ValueError):
-        evaluate(OracleModel([], []), toy_ds.examples, "open-ended")
+        evaluate(OracleModel([], []), toy_ds.examples, "open-ended", False,
+                 toy_ds.answer_vocab)
 
 
 def test_mc_prediction_is_best_candidate_when_others_underflow(toy_ds):
@@ -270,7 +271,7 @@ def test_mc_prediction_is_best_candidate_when_others_underflow(toy_ds):
     model.mrn.params["cls_b"].data[0] = 1000.0
     examples = [e for e in toy_ds.examples if 0 not in e.candidates]
     assert examples
-    preds = evaluation.predict_batch(model, examples, "mc", vocab=vocab)
+    preds = evaluation.predict_batch(model, examples, "mc", False, vocab)
     for e, pred in zip(examples, preds):
         logits = model.predict_logits(e.image[None], QuestionBatch.pad(
             [e.question]))[0]
@@ -291,8 +292,8 @@ def test_mc_at_least_oe_for_random_models(toy_ds):
             return self.rng.standard_normal((len(batch.lengths), len(vocab)))
 
     for seed in range(10):
-        oe = evaluate(RandomModel(seed), toy_ds.examples, "oe", vocab=vocab)
-        mc = evaluate(RandomModel(seed), toy_ds.examples, "mc", vocab=vocab)
+        oe = evaluate(RandomModel(seed), toy_ds.examples, "oe", False, vocab)
+        mc = evaluate(RandomModel(seed), toy_ds.examples, "mc", False, vocab)
         assert mc.overall >= oe.overall
 
 
@@ -362,8 +363,9 @@ def test_predict_batch_of_no_examples_is_empty():
         def predict_logits(self, images, batch):
             raise AssertionError("no forward for no examples")
 
-    assert evaluation.predict_batch(NoForward(), [], "mc", True) == []
-    assert evaluate(NoForward(), [], "mc", True).overall == 0.0
+    assert evaluation.predict_batch(NoForward(), [], "mc", True,
+                                    SCORE_VOCAB) == []
+    assert evaluate(NoForward(), [], "mc", True, SCORE_VOCAB).overall == 0.0
 
 
 def test_mc_earliest_bad_row_raises():
@@ -373,12 +375,12 @@ def test_mc_earliest_bad_row_raises():
         evaluation.predict_batch(
             LogitsModel(logits),
             [scored_example("", [0]), out_of_range, scored_example("", [])],
-            "mc", vocab=SCORE_VOCAB)
+            "mc", False, SCORE_VOCAB)
     with pytest.raises(ValueError, match="needs candidate lists"):
         evaluation.predict_batch(
             LogitsModel(logits),
             [scored_example("", [0]), scored_example("", []), out_of_range],
-            "mc", vocab=SCORE_VOCAB)
+            "mc", False, SCORE_VOCAB)
     with pytest.raises(IndexError):
         multiple_choice_mask(logits, [[0], [-1], []])
     with pytest.raises(ValueError, match="empty candidate set"):

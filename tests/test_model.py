@@ -392,7 +392,7 @@ def test_checkpoint_non_finite_parameter_names_offset(tmp_path, value):
     save_checkpoint(model, path)
     hlen = int.from_bytes(open(path, "rb").read()[8:16], "little")
     # buffers follow the header in name order; cnn.conv1_b comes first
-    offset = 16 + hlen + 8 * model.cnn.params["conv1_b"].size
+    offset = 16 + hlen + 8 * model.cnn.params["conv1_b"].data.size
     with pytest.raises(FormatError) as info:
         load_checkpoint(path)
     assert str(info.value) == (f"parameter cnn.conv1_w at byte {offset} "

@@ -185,7 +185,7 @@ def test_bad_learning_rate_rejected_before_any_step(toy_ds, lr):
 def test_train_step_asks_conv1_for_no_input_gradient(monkeypatch):
     # conv1 reads the image, which needs no gradient; conv2 needs both
     model = tiny_model()
-    images, batch, targets = tiny_batch(batch_size=2)
+    images, batch, targets = tiny_batch()
     examples = [SimpleNamespace(image=images[i], answer_id=targets[i],
                                 question=batch.tokens[i, :batch.lengths[i]])
                 for i in range(2)]
@@ -219,9 +219,10 @@ def test_batch_32_step_gives_conv_kernels_at_most_one_run(monkeypatch):
         assert sum(n for f, n in seen if f == name) == 2 * 32
 
 
-def test_two_pinned_train_steps_peak_under_16_mb():
-    # conv temporaries for one run of images, not the batch, set the peak
-    # (18.5 MiB when each conv call took the whole batch)
+def test_two_pinned_train_steps_peak_under_10_mb():
+    # conv temporaries for one run of images, not the batch, set the peak:
+    # 8.96 MiB in 8-image runs, 11.83 MiB when each conv call takes the
+    # whole batch (CNN_RUN = 32)
     model, train_set = pinned_model_and_set()
     tracemalloc.start()
     try:
@@ -230,7 +231,7 @@ def test_two_pinned_train_steps_peak_under_16_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 10 * 2**20
 
 
 def _libc_has_mallopt():
