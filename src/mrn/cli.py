@@ -62,6 +62,21 @@ def load_config_file(path):
     return values
 
 
+def non_negative_int(text):
+    """int(text), which must be >= 0 (numpy's generators take no negative
+    seed)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _accuracy(value):
+    """An accuracy for the console; absent where there are no examples,
+    as its CSV cell is empty."""
+    return "absent" if value is None else f"{value:.4f}"
+
+
 def build_parser():
     p = _Parser(prog="mrn", description=__doc__)
     p.add_argument("--config", help="key=value defaults for the "
@@ -70,7 +85,7 @@ def build_parser():
     p.subcommands = sub.choices   # name -> its parser, for --config
 
     def seed_flag(sp):
-        sp.add_argument("--seed", type=int, default=7)
+        sp.add_argument("--seed", type=non_negative_int, default=7)
 
     def out_flag(sp):
         sp.add_argument("--out", default="out", help="output directory")
@@ -209,7 +224,7 @@ def cmd_train(args):
     final = result.metrics[-1]
     print(f"trained {args.variant}/L={args.blocks}: "
           f"final train_loss={final['train_loss']:.4f} "
-          f"val_overall={final['val_overall']:.4f}")
+          f"val_overall={_accuracy(final['val_overall'])}")
     print(f"checkpoint: {ckpt}\nmetrics: {metrics}")
     return 0
 
@@ -250,12 +265,10 @@ def cmd_eval(args):
          **dict(zip(ACCURACY_COLUMNS, evaluation.accuracy_row(r)))}
         for r in reports])
     for r in reports:
-        # a type with no examples has no accuracy, as in report.csv
-        cells = ("absent" if acc is None else f"{acc:.4f}"
-                 for acc in evaluation.accuracy_row(r))
         print(f"{r.protocol}: " + " ".join(
-            f"{name}={cell}" for name, cell in
-            zip(("all",) + evaluation.ANSWER_TYPES, cells)))
+            f"{name}={_accuracy(acc)}" for name, acc in
+            zip(("all",) + evaluation.ANSWER_TYPES,
+                evaluation.accuracy_row(r))))
     print(f"report: {path}")
     return 0
 
@@ -276,15 +289,17 @@ def cmd_ablate(args):
                               evaluation.accuracy_row(r["report"])))}
             rows.append(row)
             print(f"{row['variant']:>2} L={row['blocks']} dim={row['dim']:>4}"
-                  f" params={row['params']:>8} all={row['all']:.4f}")
+                  f" params={row['params']:>8} all={_accuracy(row['all'])}")
     except MemoryError as exc:
         # the sweep builds its models, and trains them, at these sizes
         raise _too_large(exc, "--dim or --budget-dim")
 
     path = os.path.join(args.out, "ablation.csv")
     _write_csv(path, list(rows[0]), rows)
-    best = max(rows, key=lambda r: r["all"])
-    print(f"best: {best['variant']} L={best['blocks']} all={best['all']:.4f}")
+    best = max((r for r in rows if r["all"] is not None),
+               key=lambda r: r["all"], default=None)
+    print("best: none, no row has an accuracy" if best is None else
+          f"best: {best['variant']} L={best['blocks']} all={best['all']:.4f}")
     print(f"ablation table: {path}")
     return 0
 
@@ -402,6 +417,8 @@ def _parse_with_config(parser, argv):
                 raise ValidationError(
                     f"{path}: {key!r} must be of type "
                     f"{action.type.__name__}, got {value!r}") from None
+            except argparse.ArgumentTypeError as exc:
+                raise ValidationError(f"{path}: {key!r} {exc}") from None
         if action.choices is not None and value not in action.choices:
             raise ValidationError(f"{path}: {key!r} must be one of "
                                   f"{sorted(action.choices)}, got {value!r}")

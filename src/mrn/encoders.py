@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .model import ConfigError
 
 PAD_ID = 0
 # Images per run of the conv stages. A conv call's temporaries grow with the
@@ -191,6 +192,16 @@ class CnnConfig:
     kernel: int = 3
     d_out: int = 64
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.kernel % 2 == 0:
+            raise ConfigError(f"kernel must be odd, got {self.kernel}")
+        if self.image_size % 4:
+            raise ConfigError(f"image_size must be divisible by 4 for the "
+                              f"two 2x2 pools, got {self.image_size}")
+
     @property
     def flat_size(self):
         return self.channels2 * (self.image_size // 4) ** 2
@@ -239,3 +250,19 @@ def cnn_forward(image, cnn, freeze=False):
     y = ad.concat_rows(pooled)
     y = ad.reshape(y, (n, c.flat_size))
     return ad.linear(y, p["fc_w"], p["fc_b"])
+
+
+def cnn_features(images, cnn):
+    """(n, d_out) array of frozen-weight features for n (C,H,W) images,
+    given as one (n,C,H,W) array or a sequence of images.
+
+    The rows are cnn_forward on consecutive slices of CNN_RUN images,
+    concatenated, so each row depends on its slice and the weights alone,
+    whatever the BLAS rounds differently for other row counts (the fc map
+    rounds a row by the rows it shares a product with). A float64 array is
+    read in place; a sequence is stacked one slice at a time.
+    """
+    return np.concatenate([
+        cnn_forward(np.asarray(images[i:i + CNN_RUN], dtype=np.float64), cnn,
+                    freeze=True).data
+        for i in range(0, len(images), CNN_RUN)])

@@ -121,7 +121,7 @@ class EvalReport:
     protocol: str
     per_type: dict = field(default_factory=dict)    # type -> accuracy
     counts: dict = field(default_factory=dict)      # type -> n examples
-    overall: float = 0.0
+    overall: float | None = None                    # None: no examples
 
     @staticmethod
     def aggregate(protocol, thirds_by_type):
@@ -140,13 +140,13 @@ class EvalReport:
                 report.per_type[t] = float(Fraction(s, 3 * len(thirds)))
                 total += s
                 n += len(thirds)
-        report.overall = float(Fraction(total, 3 * n)) if n else 0.0
+        report.overall = float(Fraction(total, 3 * n)) if n else None
         return report
 
 
 def accuracy_row(report):
     """A report's overall, Y/N, Number and Other accuracies, in that order;
-    None for an answer type with no examples, which has no accuracy."""
+    None where there are no examples, which have no accuracy."""
     return [report.overall] + [report.per_type.get(t) for t in ANSWER_TYPES]
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-# cnn_forward is looked up through its module at call time, so a wrapper set
-# on encoders.cnn_forward (a profiler, a test double) applies here too
+# cnn_forward and cnn_features are looked up through their module at call
+# time, so a wrapper set on either (a profiler, a test double) applies here too
 from . import encoders, evaluation
 from .autodiff import Tensor
 from .encoders import QuestionBatch
@@ -147,14 +147,17 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
 
     evaluate_fn(model, val_set) -> EvalReport is called every eval_every
     iterations when a validation set is given; its accuracies go into the
-    metrics rows, None for an answer type with no examples.
+    metrics rows, None for an answer type with no examples and for the
+    overall accuracy of an empty split.
     initialize=False keeps the caller's parameter values instead of
-    drawing fresh ones. With freeze_cnn the train split's
-    features are computed once, before the first step; no dropout touches
-    them, so each step reads the v a CNN run on its batch gives, up to
-    rounding: the fc map rounds a row by the rows it shares a product
-    with, and under OpenBLAS's SkylakeX kernel the two are bit-equal only
-    for batches of 2-15 rows (at batch 32 they differ by up to 5.3e-16).
+    drawing fresh ones. With freeze_cnn the train split's features are
+    computed once, by encoders.cnn_features before the first step, and
+    kept by this call alone, not in the model's feature store. No dropout
+    touches them, so each step reads the v a CNN run on its batch gives,
+    up to rounding: the fc map rounds a row by the rows it shares a
+    product with, and under OpenBLAS's SkylakeX kernel the two are
+    bit-equal only for batches of 2-15 rows (at batch 32 they differ by up
+    to 5.3e-16).
     """
     config.validate()
     if not train_set:
@@ -165,7 +168,7 @@ def train(model, train_set, config, val_set=None, evaluate_fn=None,
     params = model.named_parameters(include_cnn=not config.freeze_cnn)
     if initialize:
         init_params(model.named_parameters(), INIT_RANGE, config.seed)
-    v_all = (model.fixed_features([e.image for e in train_set])
+    v_all = (encoders.cnn_features([e.image for e in train_set], model.cnn)
              if config.freeze_cnn else None)
     state = {}
     rng_data = np.random.default_rng((config.seed, 1))

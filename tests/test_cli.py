@@ -252,6 +252,67 @@ def test_train_zero_iterations_exit_code(workdir, tmp_path, capsys):
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "ablate", "gradcheck"])
+def test_negative_seed_is_a_usage_error(workdir, tmp_path, capsys, command):
+    out = tmp_path / "seeded"
+    args = {"gen": ["--out", str(out)],
+            "train": ["--data", str(workdir / "ds.mrnd"), "--out", str(out)],
+            "ablate": ["--data", str(workdir / "ds.mrnd"), "--out", str(out)],
+            "gradcheck": []}[command]
+    assert main([command, *args, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert f"usage: mrn {command}" in err
+    assert "argument --seed: must be >= 0, got '-1'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_negative_seed_names_file_and_key(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=-1\n")
+    out = tmp_path / "seeded"
+    assert main(["--config", str(cfg), "gen", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}: 'seed' must be >= 0, got '-1'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def no_val_data(tmp_path_factory):
+    """A dataset whose val split is empty: 1 train, 1 test example."""
+    d = tmp_path_factory.mktemp("noval")
+    assert main(["gen", "--n", "2", "--out", str(d),
+                 "--data", str(d / "ds.mrnd")]) == 0
+    assert not data_mod.load(str(d / "ds.mrnd")).split("val")
+    return str(d / "ds.mrnd")
+
+
+def test_train_on_empty_val_split_reports_no_accuracy(no_val_data, tmp_path,
+                                                     capsys):
+    out = tmp_path / "noval"
+    assert main(["train", "--data", no_val_data, "--out", str(out),
+                 "--iters", "2", "--batch", "1"]) == 0
+    assert "val_overall=absent" in capsys.readouterr().out
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert rows[1].split(",")[0] == "2"
+    assert rows[1].split(",")[2:] == ["", "", "", ""]
+
+
+def test_ablate_on_empty_val_split_names_no_best_row(no_val_data, tmp_path,
+                                                     capsys):
+    out = tmp_path / "noval"
+    assert main(["ablate", "--data", no_val_data, "--out", str(out),
+                 "--iters", "1", "--batch", "1", "--dim", "4",
+                 "--budget-dim", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith("all=absent") for line in lines[:10])
+    assert "best: none, no row has an accuracy" in lines
+    rows = (out / "ablation.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10
+    assert all(row.split(",")[4:] == ["", "", "", ""] for row in rows)
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--dim", "0", "d_joint must be >= 1, got 0"),
     ("--d-v", "0", "d_v must be >= 1, got 0"),
@@ -307,6 +368,31 @@ def test_eval_bad_checkpoint_header_exit_code(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert (f"bad header at byte 16: header is missing field 'd_emb' in "
             f"{path}") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("kernel", 2, "kernel must be odd, got 2"),
+    ("channels1", 0, "channels1 must be >= 1, got 0")])
+def test_eval_unrunnable_cnn_header_exit_code(workdir, tmp_path, capsys,
+                                              field, value, message):
+    ds = data_mod.load(str(workdir / "ds.mrnd"))
+    path = tmp_path / "cnn.ckpt"
+    save_checkpoint(VqaModel(vocab_size=len(ds.question_vocab), dims=ModelDims(
+        d_q=4, d_v=5, d_joint=5, n_answers=len(ds.answer_vocab),
+        n_blocks=1), cnn_config=CnnConfig(d_out=5)), str(path))
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + hlen])
+    header["cnn"][field] = value
+    hb = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + len(hb).to_bytes(8, "little") + hb
+                     + blob[16 + hlen:])
+    rc = main(["eval", "--data", str(workdir / "ds.mrnd"), "--checkpoint",
+               str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"bad header at byte 16: {message} in {path}" in err
     assert "Traceback" not in err
 
 
@@ -484,8 +570,11 @@ def test_non_finite_input_exit_code(workdir, tmp_path, capsys, command, bad):
     ("viz", "vocab", "has vocab_size 6 but dataset"),
     ("eval", "answers", "has n_answers 3 but dataset"),
     ("viz", "answers", "has n_answers 3 but dataset"),
-    ("eval", "image", "has image shape (3, 33, 33) but dataset"),
-    ("viz", "image", "has image shape (3, 33, 33) but dataset"),
+    # 33x33 images are no longer a valid CNN; these cases keep their ids
+    pytest.param("eval", "image", "has image shape (3, 36, 36) but dataset",
+                 id="eval-image-has image shape (3, 33, 33) but dataset"),
+    pytest.param("viz", "image", "has image shape (3, 36, 36) but dataset",
+                 id="viz-image-has image shape (3, 33, 33) but dataset"),
 ])
 def test_checkpoint_dataset_mismatch_exit_code(workdir, tmp_path, capsys,
                                                command, mismatch, message):
@@ -502,10 +591,9 @@ def test_checkpoint_dataset_mismatch_exit_code(workdir, tmp_path, capsys,
             d_q=4, d_v=5, d_joint=5, n_answers=3, n_blocks=1))
         want = len(ds.answer_vocab)
     else:
-        # 33 // 4 == 32 // 4: the parameter shapes fit 32x32 images too
         model = VqaModel(vocab_size=len(ds.question_vocab), dims=ModelDims(
             d_q=4, d_v=5, d_joint=5, n_answers=len(ds.answer_vocab),
-            n_blocks=1), cnn_config=CnnConfig(image_size=33, d_out=5))
+            n_blocks=1), cnn_config=CnnConfig(image_size=36, d_out=5))
         want = (3, 32, 32)
     ckpt = str(tmp_path / "m.ckpt")
     save_checkpoint(model, ckpt)

@@ -166,7 +166,7 @@ def _fraction_aggregate(scores_by_type):
             per_type[t] = float(s / len(scores))
             total += s
             n += len(scores)
-    return per_type, float(total / n) if n else 0.0
+    return per_type, float(total / n) if n else None
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -365,7 +365,7 @@ def test_predict_batch_of_no_examples_is_empty():
 
     assert evaluation.predict_batch(NoForward(), [], "mc", True,
                                     SCORE_VOCAB) == []
-    assert evaluate(NoForward(), [], "mc", True, SCORE_VOCAB).overall == 0.0
+    assert evaluate(NoForward(), [], "mc", True, SCORE_VOCAB).overall is None
 
 
 def test_mc_earliest_bad_row_raises():

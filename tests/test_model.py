@@ -15,7 +15,8 @@ from mrn.model import ConfigError, LearningBlock, ModelDims, MrnModel, \
     VARIANTS, block_forward, joint_residual, mrn_forward, param_count, \
     solve_dim_for_budget
 from mrn.training import init_params
-from mrn.vqa import VqaModel, load_checkpoint, save_checkpoint
+from mrn.vqa import LOOKUP_STRIDE, VqaModel, load_checkpoint, \
+    save_checkpoint
 
 
 def make_model(variant="b", n_blocks=3, d_q=3, d_v=4, d_joint=5, n_answers=4,
@@ -485,6 +486,14 @@ def _edit_params(edit):
     pytest.param(lambda h: _with(h, dims={**h["dims"], "n_blocks": 10**9}),
                  r"dims field 'n_blocks' is 1000000000, more than the \d+ "
                  "manifest entries", id="n_blocks-beyond-manifest"),
+    # a CNN that cannot run: an even kernel, an empty layer, an image side
+    # the two 2x2 pools cannot halve twice
+    (lambda h: _with(h, cnn={**h["cnn"], "kernel": 2}),
+     "kernel must be odd, got 2"),
+    (lambda h: _with(h, cnn={**h["cnn"], "channels1": 0}),
+     "channels1 must be >= 1, got 0"),
+    (lambda h: _with(h, cnn={**h["cnn"], "image_size": 33}),
+     "image_size must be divisible by 4 for the two 2x2 pools, got 33"),
 ])
 def test_checkpoint_bad_header_names_field(tmp_path, edit, message):
     model = VqaModel(vocab_size=6, d_emb=3, dims=ModelDims(
@@ -691,6 +700,29 @@ def test_image_edited_in_place_is_recomputed(cnn_calls):
     assert cnn_calls[1] == [im.tobytes() for im in images]
     assert not np.array_equal(after[1], before[1])
     assert same_bits(after, feature_model().fixed_features(images))
+
+
+# flat index 1 and the last value are not among the values a lookup reads;
+# index 1 holds +0.0 before the edit
+@pytest.mark.parametrize("edit", [
+    lambda im: im.reshape(-1).__setitem__(1, 0.75),
+    lambda im: im.reshape(-1).__setitem__(-1, 0.75),
+    lambda im: im.reshape(-1).__setitem__(1, -0.0)],
+    ids=["index-1", "last-value", "signed-zero"])
+def test_image_edit_the_lookup_does_not_read_is_recomputed(edit, cnn_calls):
+    model = feature_model()
+    images = random_images(10)
+    images[9].reshape(-1)[1] = 0.0
+    assert 1 % LOOKUP_STRIDE and (images[9].size - 1) % LOOKUP_STRIDE
+    model.fixed_features(images)
+    edit(images[9])
+    after = model.fixed_features(images)
+    assert len(cnn_calls) == 4
+    assert cnn_calls[3] == [im.tobytes() for im in images[8:]]
+    assert same_bits(after, feature_model().fixed_features(images))
+    # the new images replace the entry: scoring them again is a hit
+    assert same_bits(model.fixed_features(images), after)
+    assert len(cnn_calls) == 6 and len(model._feature_rows) == 1
 
 
 def test_float32_image_shares_its_float64_row(cnn_calls):

@@ -12,7 +12,7 @@ import pytest
 
 import mrn
 from mrn import data as data_mod
-from mrn import encoders, kernels, training
+from mrn import encoders, evaluation, kernels, training
 from mrn.autodiff import Tensor
 from mrn.encoders import CnnConfig, QuestionBatch
 from mrn.gradcheck import tiny_batch, tiny_model
@@ -455,20 +455,59 @@ def test_frozen_cnn_loss_trace_matches_per_step_features(toy_ds,
     class PerStep:
         """Rows of v computed by one CNN call on each step's batch."""
 
-        def __init__(self, model, images):
-            self.model, self.images = model, images
+        def __init__(self, images, cnn):
+            self.images, self.cnn = images, cnn
 
         def __getitem__(self, idx):
             images = np.stack([self.images[i] for i in idx])
-            return encoders.cnn_forward(images, self.model.cnn,
-                                        freeze=True).data
+            return encoders.cnn_forward(images, self.cnn, freeze=True).data
 
     train_set = toy_ds.split("train")
     cfg = TrainConfig(iterations=30, batch_size=8, seed=4, freeze_cnn=True,
                       eval_every=100)
     once = train(small_model(), train_set, cfg).train_losses
-    monkeypatch.setattr(VqaModel, "fixed_features",
-                        lambda self, images: PerStep(self, images))
+    monkeypatch.setattr(encoders, "cnn_features", PerStep)
     per_step = train(small_model(), train_set, cfg).train_losses
     assert len(once) == len(per_step) == 30
     np.testing.assert_allclose(once, per_step, rtol=1e-12, atol=0)
+
+
+def test_trainable_cnn_store_keeps_only_the_last_val_images(toy_ds):
+    model = small_model()
+    val_set = toy_ds.split("val")
+    cfg = TrainConfig(iterations=3, batch_size=4, seed=5, eval_every=1)
+    seen = []
+
+    def evaluate_fn(m, examples):
+        seen.append(dict(m._feature_rows))
+        return evaluation.evaluate(m, examples, "oe", False,
+                                   toy_ds.answer_vocab)
+
+    train(model, toy_ds.split("train"), cfg, val_set=val_set,
+          evaluate_fn=evaluate_fn)
+    # each step changes the CNN weights, so each evaluation drops the one
+    # entry the evaluation before it kept and keeps its own
+    assert [len(rows) for rows in seen] == [0, 1, 1]
+    (kept, rows), = model._feature_rows.values()
+    assert np.array_equal(kept, np.stack([e.image for e in val_set]))
+    assert not any(kept is k for k, _ in seen[2].values())
+    np.testing.assert_array_equal(
+        rows, encoders.cnn_features(kept, model.cnn))
+
+
+def test_frozen_cnn_train_keeps_nothing_in_the_store(toy_ds, monkeypatch):
+    real = encoders.cnn_forward
+    calls = []
+
+    def spy(image, cnn, freeze=False):
+        calls.append(len(image))
+        return real(image, cnn, freeze)
+
+    monkeypatch.setattr(encoders, "cnn_forward", spy)
+    model = small_model()
+    train_set = toy_ds.split("train")
+    cfg = TrainConfig(iterations=5, batch_size=4, seed=3, freeze_cnn=True,
+                      eval_every=100)
+    train(model, train_set, cfg)
+    assert model._feature_rows == {}
+    assert len(calls) == math.ceil(len(train_set) / encoders.CNN_RUN)
